@@ -114,13 +114,14 @@ let suite_names = List.map (fun b -> b.Suite.name) Suite.all
 let cache_names =
   List.map (fun b -> b.Suite.name) Suite.cache_benchmarks
 
-(* Trace captures go first: they are the only units that execute the
-   machine (everything downstream replays the stored trace), and the
-   cache-benchmark captures are the long poles, so under a parallel pool
-   they start immediately.  The cache benchmarks then take one fused
+(* Trace captures go first: the cache-benchmark captures are the long
+   poles (their fused sweeps replay the stored trace), so under a parallel
+   pool they start immediately.  The cache benchmarks then take one fused
    sweep each — a single decode feeds all 25 grid geometries plus the
    full pipeline-configuration sweep — the rest of the suite takes plain
-   uarch sweeps, then stats. *)
+   uarch sweeps (each captures its pair's trace on first contact), then
+   stats, which execute the machine once per pair and never touch the
+   trace store. *)
 let full () =
   let non_cache =
     List.filter (fun b -> not (List.mem b cache_names)) suite_names

@@ -8,12 +8,12 @@
     any experiment later reads: parallel output is byte-identical to
     serial. *)
 
-(** The unit of work: the {!Runs.stats} measurements, the standard cache
-    grid ({!Runs.ensure_grid}), the standard cycle-accurate pipeline
-    sweep ({!Runs.ensure_uarch}), both at once from a single decode
-    ({!Runs.ensure_fused}), or a trace capture into the store
-    ({!Runs.ensure_trace}) — the only kind that executes the machine;
-    the others replay its output. *)
+(** The unit of work: the {!Runs.stats} measurements (one streamed
+    execution, no trace), the standard cache grid ({!Runs.ensure_grid}),
+    the standard cycle-accurate pipeline sweep ({!Runs.ensure_uarch}),
+    both at once from a single decode ({!Runs.ensure_fused}), or a trace
+    capture into the store ({!Runs.ensure_trace}), whose output the
+    three sweep kinds replay. *)
 type kind = Stats | Grid | Uarch | Fused | Trace
 
 type spec = { bench : string; target : Repro_core.Target.t; kind : kind }
@@ -66,9 +66,9 @@ val full : unit -> t
 (** Everything {!Experiments.render_all} needs: suite stats on all six
     targets, fused grid+pipeline sweeps for the three cache benchmarks
     (one decode each feeds all 25 geometries and the full configuration
-    sweep), and the pipeline-model sweeps for the remaining suite — trace
-    captures (the only machine executions) scheduled ahead of the replays
-    that consume them, most expensive units first. *)
+    sweep), and the pipeline-model sweeps for the remaining suite — the
+    cache benchmarks' trace captures scheduled ahead of the replays that
+    consume them, most expensive units first. *)
 
 val for_experiment : string -> t
 (** The plan for one experiment id (empty for the two drivers that manage

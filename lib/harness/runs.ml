@@ -190,14 +190,12 @@ let image bench (target : Target.t) =
     with_lock (fun () -> Hashtbl.replace image_tbl key img);
     img
 
-let run_with_trace bench target = Machine.run ~trace:true (image bench target)
-
 (* Trace store. ------------------------------------------------------------
 
    One capture per (benchmark, target): the architectural simulator runs
    once with the streaming [on_insn] hook feeding a {!Trace.Writer} (no
    trace array is materialized), and every cache grid, pipeline sweep, and
-   fetch-request count afterwards replays the stored bytes.  Corrupt,
+   fusion count afterwards replays the stored bytes.  Corrupt,
    truncated, or version-skewed files read as a miss and are re-captured.
    With the disk cache disabled the capture goes to a temp file that is
    unlinked as soon as the reader has swallowed it. *)
@@ -210,20 +208,17 @@ let capture_trace bench (target : Target.t) path =
       ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
       img
   with
-  | r ->
-    Trace.Writer.close w;
-    r
+  | _ -> Trace.Writer.close w
   | exception e ->
     Trace.Writer.abort w;
     raise e
 
-(* Capture (or reopen) under the pair's lock and install the reader.
-   Returns the architectural result when this call ran the machine. *)
-let load_trace bench (target : Target.t) =
+(* Capture (or reopen) under the pair's lock and install the reader. *)
+let trace_reader bench (target : Target.t) =
   let key = (bench, target.Target.name) in
   Mutex.protect (trace_lock key) (fun () ->
       match with_lock (fun () -> Hashtbl.find_opt trace_tbl key) with
-      | Some rd -> (rd, None)
+      | Some rd -> rd
       | None ->
         let persistent = Diskcache.enabled () in
         let path =
@@ -235,37 +230,66 @@ let load_trace bench (target : Target.t) =
             Trace.Reader.open_file path |> Result.to_option
           else None
         in
-        let rd, r =
+        let rd =
           match reopen () with
-          | Some rd -> (rd, None)
+          | Some rd -> rd
           | None -> (
-            let r = capture_trace bench target path in
+            capture_trace bench target path;
             match Trace.Reader.open_file path with
-            | Ok rd -> (rd, Some r)
+            | Ok rd -> rd
             | Error e ->
               failwith ("Runs: just-captured trace unreadable: " ^ e))
         in
         if not persistent then (try Sys.remove path with Sys_error _ -> ());
         with_lock (fun () -> Hashtbl.replace trace_tbl key rd);
-        (rd, r))
+        rd)
 
-let trace_reader bench target = fst (load_trace bench target)
 let ensure_trace bench target = ignore (trace_reader bench target)
+
+(* Suite stats. -------------------------------------------------------------
+
+   The cacheless fetch-request counts depend only on the dynamic address
+   stream, so they come from the execution that yields the architectural
+   counters: the [on_insn] hook streams every retirement through one
+   {!Memsys.Fetchbuf} per bus width — the model {!Replay.Seq.nocache}
+   replays — and never touches the trace store.  The hook captures one
+   record of mutable counters and allocates nothing per instruction. *)
+
+type fetch_counters = {
+  fb32 : Memsys.Fetchbuf.t;
+  fb64 : Memsys.Fetchbuf.t;
+  mutable dreq32 : int;
+  mutable dreq64 : int;
+}
 
 let compute_stats bench (target : Target.t) =
   let img = image bench target in
-  (* One execution fills the trace store and yields the architectural
-     counters; if the store was already warm the execution reuses it and
-     skips the capture I/O.  Both fetch-buffer widths then replay from
-     the stored trace. *)
-  let rd, captured = load_trace bench target in
-  let r =
-    match captured with
-    | Some r -> r
-    | None -> Machine.run ~trace:false img
+  let c =
+    {
+      fb32 = Memsys.Fetchbuf.make ~bus_bytes:4;
+      fb64 = Memsys.Fetchbuf.make ~bus_bytes:8;
+      dreq32 = 0;
+      dreq64 = 0;
+    }
   in
-  let nc32 = Replay.nocache rd ~bus_bytes:4 in
-  let nc64 = Replay.nocache rd ~bus_bytes:8 in
+  let on_insn ~iaddr ~dinfo =
+    (* Bit 0 of the address marks a wide (4-byte) instruction on a
+       mixed-width target; its tail halfword may need a second bus
+       request. *)
+    let pc = iaddr land lnot 1 in
+    ignore (Memsys.Fetchbuf.fetch c.fb32 ~addr:pc);
+    ignore (Memsys.Fetchbuf.fetch c.fb64 ~addr:pc);
+    if iaddr land 1 <> 0 then begin
+      ignore (Memsys.Fetchbuf.fetch c.fb32 ~addr:(pc + 2));
+      ignore (Memsys.Fetchbuf.fetch c.fb64 ~addr:(pc + 2))
+    end;
+    if dinfo <> 0 then begin
+      let bytes = (dinfo lsr 1) land 0xF in
+      c.dreq32 <- c.dreq32 + Memsys.data_requests ~bus_bytes:4 ~bytes;
+      c.dreq64 <- c.dreq64 + Memsys.data_requests ~bus_bytes:8 ~bytes
+    end
+  in
+  let r = Machine.run ~trace:false ~on_insn img in
   {
     bench;
     target;
@@ -277,10 +301,10 @@ let compute_stats bench (target : Target.t) =
     load_words = r.Machine.load_words;
     store_words = r.Machine.store_words;
     interlocks = r.Machine.interlocks;
-    ireq32 = nc32.Memsys.irequests;
-    ireq64 = nc64.Memsys.irequests;
-    dreq32 = nc32.Memsys.drequests;
-    dreq64 = nc64.Memsys.drequests;
+    ireq32 = Memsys.Fetchbuf.requests c.fb32;
+    ireq64 = Memsys.Fetchbuf.requests c.fb64;
+    dreq32 = c.dreq32;
+    dreq64 = c.dreq64;
     output = r.Machine.output;
     exit_code = r.Machine.exit_code;
   }

@@ -5,11 +5,13 @@
     trace-driven, mirroring the paper's dinero methodology: one captured
     execution per (benchmark, target) lands as a compressed
     {!Repro_trace.Trace} file in the store under
-    [_runs_cache/traces/], and fetch-request counts, the standard cache
-    grid, and the cycle-accurate pipeline sweeps all {e replay} that
-    trace — sweep cost scales with trace I/O, not architectural work.
-    Corrupt or version-skewed trace files read as misses and are
-    re-captured.
+    [_runs_cache/traces/], and the standard cache grid, the
+    cycle-accurate pipeline sweeps, and the fusion counters all
+    {e replay} that trace — sweep cost scales with trace I/O, not
+    architectural work.  Corrupt or version-skewed trace files read as
+    misses and are re-captured.  The suite {!stats} need only the
+    dynamic address stream and never touch the store: one execution
+    streams it through the cacheless fetch buffers.
 
     Two memo layers back every accessor:
 
@@ -42,8 +44,10 @@ type stats = {
 }
 
 val stats : string -> Repro_core.Target.t -> stats
-(** Compile, run, replay the two fetch-buffer widths; memoized in process
-    and on disk. *)
+(** Compile and run once, streaming every retired instruction through a
+    one-block fetch buffer per bus width (4 and 8 bytes; the model
+    {!Repro_trace.Replay.Seq.nocache} replays) — no trace is captured,
+    stored, or decoded.  Memoized in process and on disk. *)
 
 val cached :
   string ->
@@ -125,11 +129,6 @@ val standard_blocks : int list
 
 val standard_grid : (int * int * int) list
 (** Every (size, block, sub) geometry the appendix tables and figures use. *)
-
-val run_with_trace : string -> Repro_core.Target.t -> Repro_sim.Machine.result
-(** A fresh traced run with the in-memory trace arrays (not memoized —
-    the materialized trace is big).  The differential tests use it to
-    compare direct execution against the trace store. *)
 
 (** {2 Trace store} *)
 

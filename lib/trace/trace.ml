@@ -191,33 +191,39 @@ module Writer = struct
   let jobs_lock = Mutex.create ()
   let jobs_cond = Condition.create ()
 
-  let flusher =
-    lazy
-      (ignore
-         (Domain.spawn (fun () ->
-              while true do
-                Mutex.lock jobs_lock;
-                while Queue.is_empty jobs do
-                  Condition.wait jobs_cond jobs_lock
-                done;
-                let j = Queue.pop jobs in
-                Mutex.unlock jobs_lock;
-                run_job j.jw j.jraw j.jn
-              done)))
+  let flusher_loop () =
+    while true do
+      Mutex.lock jobs_lock;
+      while Queue.is_empty jobs do
+        Condition.wait jobs_cond jobs_lock
+      done;
+      let j = Queue.pop jobs in
+      Mutex.unlock jobs_lock;
+      run_job j.jw j.jraw j.jn
+    done
+
+  (* Guarded by [jobs_lock]: the first enqueue spawns the flusher, once,
+     however many domains hand off at the same moment.  Not a [lazy]: a
+     second domain forcing one mid-spawn raises
+     [CamlinternalLazy.Undefined].  The flag is set only after the spawn
+     succeeds, so a failed spawn is retried by the next enqueue. *)
+  let flusher_started = ref false
 
   let enqueue j =
-    Lazy.force flusher;
-    Mutex.lock jobs_lock;
-    Queue.push j jobs;
-    Condition.signal jobs_cond;
-    Mutex.unlock jobs_lock
+    Mutex.protect jobs_lock (fun () ->
+        if not !flusher_started then begin
+          ignore (Domain.spawn flusher_loop);
+          flusher_started := true
+        end;
+        Queue.push j jobs;
+        Condition.signal jobs_cond)
 
-  let default_flusher =
-    lazy
-      (match Sys.getenv_opt "REPRO_TRACE_FLUSHER" with
-      | Some "0" -> false
-      | Some _ -> true
-      | None -> Domain.recommended_domain_count () > 1)
+  (* Read at every [create]: no shared state, so no initialisation race. *)
+  let default_flusher () =
+    match Sys.getenv_opt "REPRO_TRACE_FLUSHER" with
+    | Some "0" -> false
+    | Some _ -> true
+    | None -> Domain.recommended_domain_count () > 1
 
   let create ?(version = format_version) ?(chunk_records = default_chunk_records)
       ?flusher ~insn_bytes path =
@@ -228,7 +234,7 @@ module Writer = struct
     if insn_bytes <> 2 && insn_bytes <> 4 then
       invalid_arg "Trace.Writer.create: insn_bytes must be 2 or 4";
     let flusher =
-      match flusher with Some b -> b | None -> Lazy.force default_flusher
+      match flusher with Some b -> b | None -> default_flusher ()
     in
     let tmp = Printf.sprintf "%s.tmp.%d" path (Domain.self () :> int) in
     let oc = Out_channel.open_bin tmp in
@@ -293,7 +299,10 @@ module Writer = struct
 
   (* Flusher mode: hand the full raw buffer to the flusher and swap in
      the spare (or a fresh one the first time) — the capture domain
-     never blocks on encode, checksum, or I/O. *)
+     never blocks on encode, checksum, or I/O.  A chunk is counted
+     outstanding before it is queued (the flusher may finish it at
+     once); if queueing fails the count is taken back, so [close] and
+     [abort] never wait for a chunk no one will write. *)
   let hand_off w =
     let raw = w.raw and n = w.cur_n in
     w.cur_n <- 0;
@@ -308,7 +317,14 @@ module Writer = struct
     in
     Mutex.unlock w.lock;
     w.raw <- next;
-    enqueue { jw = w; jraw = raw; jn = n }
+    match enqueue { jw = w; jraw = raw; jn = n } with
+    | () -> ()
+    | exception e ->
+        Mutex.lock w.lock;
+        w.outstanding <- w.outstanding - 1;
+        Condition.broadcast w.drained;
+        Mutex.unlock w.lock;
+        raise e
 
   let step_direct w ~pc ~dinfo =
     if w.cur_n = 0 then w.cur_start_pc <- pc;

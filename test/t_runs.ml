@@ -9,6 +9,9 @@ module Diskcache = Repro_harness.Diskcache
 module Plan = Repro_harness.Plan
 module Pool = Repro_harness.Pool
 module Experiments = Repro_harness.Experiments
+module Memsys = Repro_sim.Memsys
+module Replay = Repro_trace.Replay
+module Trace = Repro_trace.Trace
 
 (* Route the persistent cache to a throwaway directory so the tests never
    see (or pollute) a developer's _runs_cache. *)
@@ -130,6 +133,7 @@ let test_trace_store_regenerates () =
   with_temp_cache (fun () ->
       Runs.clear_memo ();
       let s = Runs.stats "queens" Target.d16 in
+      Runs.ensure_trace "queens" Target.d16;
       let path = Runs.trace_path "queens" Target.d16 in
       Alcotest.(check bool) "capture landed in the store" true
         (Sys.file_exists path);
@@ -143,6 +147,47 @@ let test_trace_store_regenerates () =
       let rd = Runs.trace_reader "queens" Target.d16 in
       Alcotest.(check int) "re-captured trace has ic records" s.Runs.ic
         (Repro_trace.Trace.Reader.n_records rd))
+
+(* Stats stream one execution through the cacheless fetch buffers and
+   never touch the trace store; their request counts must equal the
+   sequential nocache replay (an independent baseline) of a trace
+   captured separately — on every target, D16m's wide-instruction marks
+   and D16x included.  Linpack's doubles split on the 32-bit bus, so the
+   two data counts differ. *)
+let test_stats_match_replay () =
+  with_temp_cache (fun () ->
+      Runs.clear_memo ();
+      let targets =
+        List.map
+          (fun n ->
+            match Target.of_name n with
+            | Ok t -> t
+            | Error m -> Alcotest.fail m)
+          Target.all_names
+      in
+      let pairs =
+        List.concat_map
+          (fun b -> List.map (fun t -> (b, t)) targets)
+          [ "ackermann"; "linpack" ]
+      in
+      let stats = List.map (fun (b, t) -> Runs.stats b t) pairs in
+      let traces = Filename.concat (Diskcache.dir ()) "traces" in
+      Alcotest.(check (list string))
+        "stats leave no file under traces/" []
+        (if Sys.file_exists traces then Array.to_list (Sys.readdir traces)
+         else []);
+      List.iter2
+        (fun (b, (t : Target.t)) (s : Runs.stats) ->
+          let rd = Runs.trace_reader b t in
+          let name what = Printf.sprintf "%s on %s: %s" b t.Target.name what in
+          let nc32 = Replay.Seq.nocache rd ~bus_bytes:4 in
+          let nc64 = Replay.Seq.nocache rd ~bus_bytes:8 in
+          Alcotest.(check int) (name "ireq32") nc32.Memsys.irequests s.Runs.ireq32;
+          Alcotest.(check int) (name "ireq64") nc64.Memsys.irequests s.Runs.ireq64;
+          Alcotest.(check int) (name "dreq32") nc32.Memsys.drequests s.Runs.dreq32;
+          Alcotest.(check int) (name "dreq64") nc64.Memsys.drequests s.Runs.dreq64;
+          Alcotest.(check int) (name "ic") (Trace.Reader.n_records rd) s.Runs.ic)
+        pairs stats)
 
 let test_key_invalidation () =
   (* Changing the target description must change the key: a cache entry
@@ -221,6 +266,7 @@ let tests =
       test_legacy_envelope_readable;
     Alcotest.test_case "trace store regenerates" `Slow
       test_trace_store_regenerates;
+    Alcotest.test_case "stats = nocache replay" `Slow test_stats_match_replay;
     Alcotest.test_case "key invalidation" `Quick test_key_invalidation;
     Alcotest.test_case "parallel = serial output" `Slow
       test_parallel_determinism;

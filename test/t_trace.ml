@@ -907,6 +907,36 @@ let differential bench (t : Target.t) =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail (name "Fused.run without ~img accepted")))
 
+(* Two domains that hand off their first chunks at once both start the
+   shared flusher.  Each round is a fresh process (the flusher starts once
+   per process) running test/writer_race.ml with the flusher forced on;
+   the child arms its own alarm, so a hang ends as a kill, not a stuck
+   suite. *)
+let test_flusher_start_race () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "writer_race.exe"
+  in
+  let env = Array.append [| "REPRO_TRACE_FLUSHER=1" |] (Unix.environment ()) in
+  for round = 1 to 12 do
+    let dir = Filename.temp_dir "repro-writer-race" "" in
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir)
+      (fun () ->
+        let pid =
+          Unix.create_process_env exe [| exe; dir |] env Unix.stdin Unix.stdout
+            Unix.stderr
+        in
+        match snd (Unix.waitpid [] pid) with
+        | Unix.WEXITED 0 -> ()
+        | Unix.WEXITED n ->
+          Alcotest.failf "round %d: writer race child exited %d" round n
+        | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+          Alcotest.failf "round %d: writer race child killed by signal %d \
+                          (hung until its alarm)" round s)
+  done
+
 let differential_case bench =
   Alcotest.test_case ("differential " ^ bench) `Slow (fun () ->
       List.iter (differential bench) [ Target.d16; Target.dlxe ])
@@ -934,6 +964,7 @@ let tests =
       test_flusher_differential;
     QCheck_alcotest.to_alcotest flusher_differential_qcheck;
     Alcotest.test_case "unlink while mapped" `Quick test_unlink_while_mapped;
+    Alcotest.test_case "flusher start race" `Quick test_flusher_start_race;
   ]
   @ List.map
       (fun (b : Suite.benchmark) -> differential_case b.Suite.name)
