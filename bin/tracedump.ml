@@ -4,16 +4,13 @@
    latter goes through the harness trace store, capturing on a cold miss.
 
    Usage:
-     dune exec bin/tracedump.exe -- (--bench NAME [TARGET] | FILE.trc...)
+     dune exec bin/tracedump.exe -- (--bench NAME [TARGET] | FILE.trc)
        [--summary] [--chunks] [--dump N] [--from PC] [--to PC]
        [--loads] [--stores] [--working-set] [--traffic] [--grid] [--cpi]
-       [--fused] [--jobs N] [--version] [--migrate]
+       [--fused] [--jobs N]
 
-   --version reports the on-disk format version of each FILE (or of the
-   stored trace for --bench); --migrate rewrites older-format files to
-   the current format in place (tmp+rename, fully re-verified before the
-   original is replaced).  Both accept multiple FILE arguments and exit
-   without entering the dump/replay modes.
+   FILE.trc must be a current-format trace (Trace.format_version); any
+   other file is refused with the reader's reason.
 
    With no mode flags, prints the summary.  --working-set, --traffic,
    --grid, --cpi and --fused replay chunk-parallel over --jobs domains
@@ -29,15 +26,13 @@ module Target = Repro_core.Target
 module Runs = Repro_harness.Runs
 module Pool = Repro_harness.Pool
 module Cli = Repro_util.Cli
-module Trace = Repro_trace.Trace
 module Replay = Repro_trace.Replay
 module Reader = Repro_trace.Trace.Reader
 
 let usage =
-  "tracedump (--bench NAME [TARGET] | FILE.trc...) [--summary] [--chunks]\n\
+  "tracedump (--bench NAME [TARGET] | FILE.trc) [--summary] [--chunks]\n\
   \       [--dump N] [--from PC] [--to PC] [--loads] [--stores]\n\
-  \       [--working-set] [--traffic] [--grid] [--cpi] [--fused] [--jobs N]\n\
-  \       [--version] [--migrate]"
+  \       [--working-set] [--traffic] [--grid] [--cpi] [--fused] [--jobs N]"
 
 let int_arg cli name ~default =
   match Cli.flag_arg cli name with
@@ -228,35 +223,13 @@ let fused rd img ~jobs =
   print_grid geometries r.Replay.Fused.cacheds;
   print_cpi cfgs r.Replay.Fused.pipes
 
-(* File-level modes: report each trace's on-disk format version, or
-   rewrite older-format traces to the current format in place. *)
-let report_version path =
-  match Reader.open_file path with
-  | Ok rd ->
-    Printf.printf "%s: format v%d (%d records, %d chunks, %d bytes)\n" path
-      (Reader.version rd) (Reader.n_records rd) (Reader.n_chunks rd)
-      (Reader.byte_size rd)
-  | Error e ->
-    Printf.eprintf "tracedump: %s\n" e;
-    exit 1
-
-let migrate path =
-  match Trace.migrate path with
-  | Ok true ->
-    Printf.printf "%s: migrated to format v%d\n" path Trace.format_version
-  | Ok false ->
-    Printf.printf "%s: already format v%d\n" path Trace.format_version
-  | Error e ->
-    Printf.eprintf "tracedump: %s: %s\n" path e;
-    exit 1
-
 let () =
   let cli =
     Cli.parse
       ~flags_with_arg:[ "--bench"; "--dump"; "--from"; "--to"; "--jobs" ]
       ~flags:
         [ "--summary"; "--chunks"; "--loads"; "--stores"; "--working-set";
-          "--traffic"; "--grid"; "--cpi"; "--fused"; "--version"; "--migrate" ]
+          "--traffic"; "--grid"; "--cpi"; "--fused" ]
       ~usage Sys.argv
   in
   let target_of_rest = function
@@ -269,21 +242,6 @@ let () =
         exit 1)
     | _ -> Cli.usage_exit cli
   in
-  (if Cli.flag cli "--version" || Cli.flag cli "--migrate" then begin
-     let files =
-       match (Cli.flag_arg cli "--bench", Cli.positionals cli) with
-       | Some bench, rest ->
-         let target = target_of_rest rest in
-         (* Capture on a cold miss so the stored path exists. *)
-         ignore (Runs.trace_reader bench target);
-         [ Runs.trace_path bench target ]
-       | None, (_ :: _ as files) -> files
-       | None, [] -> Cli.usage_exit cli
-     in
-     if Cli.flag cli "--version" then List.iter report_version files;
-     if Cli.flag cli "--migrate" then List.iter migrate files;
-     exit 0
-   end);
   let rd, img =
     match (Cli.flag_arg cli "--bench", Cli.positionals cli) with
     | Some bench, rest ->

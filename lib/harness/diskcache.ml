@@ -13,11 +13,10 @@
    magic "RRC2", a 4-byte little-endian CRC-32C of the marshaled
    payload, then the payload — CRC-32C because warm cache hits should
    not pay MD5 per byte of bulk result data ({!Repro_util.Crc32c} runs
-   several times faster).  The read path also still accepts the legacy
-   envelope (16-byte MD5 then payload), so caches written before the
-   switch keep hitting.  Unreadable, truncated, or corrupted entries
-   (Marshal would otherwise happily decode flipped bits into garbage
-   values) are treated as misses and silently regenerated. *)
+   several times faster).  Anything else — an entry without the magic,
+   or an unreadable, truncated, or corrupted one (Marshal would
+   otherwise happily decode flipped bits into garbage values) — is
+   treated as a miss and silently regenerated. *)
 
 module Crc32c = Repro_util.Crc32c
 
@@ -73,8 +72,8 @@ let find (k : string) : 'a option =
           In_channel.with_open_bin p (fun ic ->
               let contents = In_channel.input_all ic in
               let n = String.length contents in
-              if n >= 8 && String.sub contents 0 4 = envelope_magic then begin
-                (* v2 envelope: crc32c. *)
+              if n < 8 || String.sub contents 0 4 <> envelope_magic then None
+              else
                 let stored =
                   Char.code contents.[4]
                   lor (Char.code contents.[5] lsl 8)
@@ -82,18 +81,7 @@ let find (k : string) : 'a option =
                   lor (Char.code contents.[7] lsl 24)
                 in
                 if Crc32c.sub_string contents 8 (n - 8) <> stored then None
-                else Some (Marshal.from_string contents 8)
-              end
-              else if n >= 16 then begin
-                (* Legacy envelope: 16-byte MD5.  (A legacy entry whose
-                   digest happened to start with the v2 magic — a 2^-32
-                   event per entry — misparses above and degrades to a
-                   miss, never to a wrong value.) *)
-                let payload = String.sub contents 16 (n - 16) in
-                if Digest.string payload <> String.sub contents 0 16 then None
-                else Some (Marshal.from_string payload 0)
-              end
-              else None)
+                else Some (Marshal.from_string contents 8))
         with _ -> None
       else None
     in
@@ -105,8 +93,10 @@ let store (k : string) (v : 'a) =
   if enabled () then begin
     ensure_dir ();
     let p = path_of k in
+    (* Unique per process and domain: two processes sharing one cache
+       both run on domain 0. *)
     let tmp =
-      Printf.sprintf "%s.tmp.%d" p (Domain.self () :> int)
+      Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ()) (Domain.self () :> int)
     in
     try
       Out_channel.with_open_bin tmp (fun oc ->

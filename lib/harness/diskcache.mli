@@ -9,11 +9,10 @@
     changed input is a different key, and orphaned entries are just never
     read again.  Writes are atomic (temp file + rename), so concurrent
     domains and processes are safe.  Each entry carries a CRC-32C of its
-    marshaled payload (["RRC2"] envelope; entries written with the
-    earlier MD5 envelope are still readable), so truncated or
-    bit-corrupted files — which [Marshal] alone can silently decode into
-    garbage — read as misses and are regenerated, while warm hits pay
-    only a cheap checksum pass.
+    marshaled payload (["RRC2"] envelope), so truncated or bit-corrupted
+    files — which [Marshal] alone can silently decode into garbage — and
+    entries in any other envelope read as misses and are regenerated,
+    while warm hits pay only a cheap checksum pass.
 
     Values are stored with [Marshal]; each key namespace must map to a
     single result type (callers prefix keys with a kind tag). *)

@@ -12,68 +12,45 @@
     ({!Replay}), chunk-parallel where the counters permit.
 
     File layout (all integers LEB128 varints unless noted; signed values
-    zigzag-coded).  The chunk payload encoding is identical across
-    versions; only the checksum machinery differs:
+    zigzag-coded):
 
     {v
-    header   "REPROTRC" | version u8 | insn_bytes u8 | chunk_records
+    header   "REPROTRC" | version u8 (= 2) | insn_bytes u8 | chunk_records
     chunks   per record: Δpc | dtag ((bytes<<1)|is_write, 0 = no access)
                        | Δdaddr (only when dtag <> 0)
     footer   n_chunks | n_records
-             v1 per chunk: byte_offset | n_records | start_pc | MD5 (16 raw)
-             v2 per chunk: byte_offset | n_records | start_pc | crc32c u32 LE
-             v2 only:      footer_crc u32 LE (crc32c of the footer bytes above)
+             per chunk: byte_offset | n_records | start_pc | crc32c u32 LE
+             footer_crc u32 LE (crc32c of the footer bytes above)
     trailer  footer_offset u64 LE | "REPROEND"
     v}
 
-    v2 replaces the per-chunk MD5 with CRC-32C ({!Repro_util.Crc32c},
-    ~2-4x cheaper per byte) and seals the footer with its own crc.
-    Payload verification moves from open time to each chunk's first
-    decode, so {!Reader.open_file} on a v2 trace costs O(footer), not
-    O(file). *)
+    Checksums are CRC-32C ({!Repro_util.Crc32c}).  The footer's own crc
+    is checked at {!Reader.open_file}, which therefore costs O(footer);
+    each chunk's payload crc is checked at that chunk's first decode.
+    There is one format: a file with any other version byte does not
+    open, and the trace store re-captures it. *)
 
 val format_version : int
-(** The version {!Writer} emits by default: [2].  Feeds the trace-store
-    key ({!Repro_harness.Runs}), so bumping it orphans stored traces and
-    they regenerate in the new format; the reader keeps decoding every
-    version in {!supported_versions}.  Mirrored in the CI cache key. *)
-
-val supported_versions : int list
-(** Versions {!Reader.open_file} accepts: [[1; 2]].  Anything else is
-    reported as corrupt. *)
+(** The version {!Writer} emits and {!Reader} accepts: [2].  Feeds the
+    trace-store key ({!Repro_harness.Runs}), so bumping it orphans stored
+    traces and they regenerate in the new format.  Mirrored in the CI
+    cache key. *)
 
 val default_chunk_records : int
 
-(** Streaming encoder.  Writes to [path ^ ".tmp.<domain>"] and renames on
+(** Streaming encoder.  Each record is encoded inline by {!Writer.step};
+    each full chunk is checksummed and appended before [step] returns.
+    Writes to [path ^ ".tmp.<pid>.<domain>"] and renames on
     {!Writer.close}, so a crash mid-capture never leaves a half-written
-    trace at the target path and concurrent captures of the same key are
-    safe (last rename wins, both files valid). *)
+    trace at the target path and concurrent captures of the same key, by
+    domains of one process or by several processes, are safe (last
+    rename wins, both files valid). *)
 module Writer : sig
   type t
 
-  val create :
-    ?version:int ->
-    ?chunk_records:int ->
-    ?flusher:bool ->
-    insn_bytes:int ->
-    string ->
-    t
-  (** [version] defaults to {!format_version}.  [~version:1] emits the
-      legacy MD5-footer format byte-for-byte (kept for cross-version
-      tests and the CI compatibility fixture).
-
-      [flusher] selects the capture mode — the emitted bytes are
-      identical either way.  [true] offloads chunk encoding, the chunk
-      checksum and the file append to a shared background domain, so
-      {!step} costs two array stores per record and capture overlaps
-      with whatever produces the records; [false] does all of that
-      inline, which is faster when there is no spare core to overlap
-      on.  The default is [Domain.recommended_domain_count () > 1],
-      overridable process-wide with [REPRO_TRACE_FLUSHER=0] or [=1].
-      In flusher mode, I/O errors surface at {!close} instead of at the
-      {!step} that filled the chunk.
-      @raise Invalid_argument if [version] is unsupported,
-      [chunk_records < 1], or [insn_bytes] is not 2 or 4. *)
+  val create : ?chunk_records:int -> insn_bytes:int -> string -> t
+  (** @raise Invalid_argument if [chunk_records < 1] or [insn_bytes] is
+      not 2 or 4. *)
 
   val step : t -> pc:int -> dinfo:int -> unit
   (** One retired instruction: byte address and packed data access in the
@@ -81,37 +58,34 @@ module Writer : sig
       of [Machine.run]'s [on_insn] hook. *)
 
   val close : t -> unit
-  (** Flush (waiting for any background chunks), write footer and
-      trailer, rename into place. *)
+  (** Flush the last chunk, write footer and trailer, rename into
+      place. *)
 
   val abort : t -> unit
   (** Close and remove the temporary file. *)
 end
 
 (** Decoder over a memory-mapped image of the file.  Magic, version and
-    index structure are always verified at {!Reader.open_file}; payload
-    checksums are verified at open for v1 (MD5 over the whole file,
-    the historical semantics) and at first decode per chunk for v2
-    (CRC-32C over the mapped bytes), raising {!Reader.Corrupt} on
-    mismatch.  Concurrent domains may share one reader (decoding is
-    per-cursor, the underlying bytes are never mutated; the first-touch
-    flags race only into redundant re-verification). *)
+    the crc-sealed footer index are verified at {!Reader.open_file}; each
+    chunk's payload crc is verified at its first decode (CRC-32C over the
+    mapped bytes), raising {!Reader.Corrupt} on mismatch.  Concurrent
+    domains may share one reader (decoding is per-cursor, the underlying
+    bytes are never mutated; the first-touch flags race only into
+    redundant re-verification). *)
 module Reader : sig
   type t
 
   exception Corrupt of string
-  (** Raised by {!iter} / {!iter_chunk} on a v2 trace whose chunk
-      payload fails its deferred checksum.  A reader that has fully
-      verified (v1 at open, v2 after {!verify} or a complete iteration)
-      cannot raise it. *)
+  (** Raised by {!iter} / {!iter_chunk} when a chunk payload fails its
+      deferred checksum.  A reader that has fully verified (after
+      {!verify} or a complete iteration) cannot raise it. *)
 
   val open_file : string -> (t, string) result
-  (** [Error reason] for anything but a well-formed supported-version
-      trace: missing file, truncation, structural or (v1) payload
-      corruption, foreign or future format.  Callers treat it as a
-      cache miss and re-capture. *)
+  (** [Error reason] for anything but a well-formed current-version
+      trace: missing file, truncation, structural or footer corruption,
+      foreign, older or future format.  Callers treat it as a cache miss
+      and re-capture. *)
 
-  val version : t -> int
   val insn_bytes : t -> int
   val chunk_records : t -> int
   val n_records : t -> int
@@ -119,8 +93,8 @@ module Reader : sig
   val byte_size : t -> int
 
   val verify : t -> (unit, string) result
-  (** Force every chunk's payload checksum now (the v1 open-time
-      semantics, on demand).  No-op on already-verified chunks. *)
+  (** Force every chunk's payload checksum now.  No-op on
+      already-verified chunks. *)
 
   type chunk = {
     start_pc : int;  (** pc of the chunk's first record. *)
@@ -132,21 +106,11 @@ module Reader : sig
   val chunk : t -> int -> chunk
 
   val iter : t -> (pc:int -> dinfo:int -> unit) -> unit
-  (** All records in execution order.  @raise Corrupt (v2, see above). *)
+  (** All records in execution order.  @raise Corrupt (see above). *)
 
   val iter_chunk : t -> int -> (pc:int -> dinfo:int -> unit) -> unit
   (** The per-chunk cursor: records of chunk [i] only.  Independent of
       every other chunk — this is what chunk-parallel replay runs on.
       Verifies the chunk's checksum on first touch.
-      @raise Corrupt (v2, see above). *)
+      @raise Corrupt (see above). *)
 end
-
-val migrate : string -> (bool, string) result
-(** [migrate path] rewrites an older-version trace at [path] to
-    {!format_version} in place: payload bytes are copied verbatim from
-    the verified source (the encoding is version-independent), a fresh
-    footer is computed, and the result is written tmp+rename — but only
-    after the candidate file has been re-opened and fully re-verified.
-    [Ok true] if rewritten, [Ok false] if already current, [Error _] if
-    the source is unreadable/corrupt or the rewrite fails (the original
-    is left untouched in every error case). *)

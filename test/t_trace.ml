@@ -30,8 +30,8 @@ let with_temp f =
     (fun () -> f path)
 
 (* Write the record stream and read it back. *)
-let roundtrip ?version ?chunk_records ?(insn_bytes = 2) records path =
-  let w = Trace.Writer.create ?version ?chunk_records ~insn_bytes path in
+let roundtrip ?chunk_records ?(insn_bytes = 2) records path =
+  let w = Trace.Writer.create ?chunk_records ~insn_bytes path in
   List.iter (fun (pc, dinfo) -> Trace.Writer.step w ~pc ~dinfo) records;
   Trace.Writer.close w;
   match Reader.open_file path with
@@ -74,85 +74,6 @@ let synthetic_roundtrip =
           && (n = 0
              || (Reader.chunk rd 0).Reader.start_pc = fst (List.hd records))))
 
-(* The legacy (v1, MD5-footer) writer path stays byte-exact: streams
-   written with [~version:1] read back identically through the same
-   (dual-version) reader, and the chunk payload bytes are equal between
-   the two formats — only header version byte and footer differ. *)
-let synthetic_roundtrip_v1 =
-  QCheck.Test.make ~name:"v1 streams roundtrip; payload bytes = v2" ~count:40
-    (QCheck.make QCheck.Gen.(list_size (int_bound 200) gen_record))
-    (fun records ->
-      with_temp (fun p1 ->
-          with_temp (fun p2 ->
-              let rd1, out1 = roundtrip ~version:1 ~chunk_records:7 records p1 in
-              let rd2, out2 = roundtrip ~chunk_records:7 records p2 in
-              let payload rd path =
-                let c =
-                  In_channel.with_open_bin path In_channel.input_all
-                in
-                (* All chunk payload bytes: from the first chunk's offset
-                   to the last chunk's end. *)
-                if Reader.n_chunks rd = 0 then ""
-                else
-                  let first = Reader.chunk rd 0 in
-                  let last = Reader.chunk rd (Reader.n_chunks rd - 1) in
-                  String.sub c first.Reader.byte_offset
-                    (last.Reader.byte_offset + last.Reader.byte_length
-                   - first.Reader.byte_offset)
-              in
-              Reader.version rd1 = 1
-              && Reader.version rd2 = 2
-              && out1 = records && out2 = records
-              && Reader.verify rd1 = Ok ()
-              && Reader.verify rd2 = Ok ()
-              && payload rd1 p1 = payload rd2 p2)))
-
-(* In-place v1 -> v2 migration: record stream identical afterwards,
-   version reported current, and a second migrate is a no-op. *)
-let test_migrate () =
-  let records =
-    List.init 3000 (fun i ->
-        ((i * 6) land 0xFFFFF, if i land 7 = 0 then (i lsl 5) lor 5 else 0))
-  in
-  with_temp (fun path ->
-      let _ = roundtrip ~version:1 ~chunk_records:256 records path in
-      (match Trace.migrate path with
-      | Ok true -> ()
-      | Ok false -> Alcotest.fail "migrate claimed already-current on a v1 file"
-      | Error e -> Alcotest.fail e);
-      (match Reader.open_file path with
-      | Error e -> Alcotest.fail e
-      | Ok rd ->
-        Alcotest.(check int) "version after migrate" Trace.format_version
-          (Reader.version rd);
-        Alcotest.(check (result unit string)) "verifies" (Ok ())
-          (Reader.verify rd);
-        let out = ref [] in
-        Reader.iter rd (fun ~pc ~dinfo -> out := (pc, dinfo) :: !out);
-        Alcotest.(check bool) "records identical" true
-          (List.rev !out = records));
-      match Trace.migrate path with
-      | Ok false -> ()
-      | Ok true -> Alcotest.fail "second migrate rewrote a current file"
-      | Error e -> Alcotest.fail e)
-
-(* Migrating a corrupt v1 file must fail and leave the original bytes
-   untouched. *)
-let test_migrate_corrupt () =
-  let records = List.init 500 (fun i -> ((i * 2) land 0xFFFF, 0)) in
-  with_temp (fun path ->
-      let _ = roundtrip ~version:1 ~chunk_records:64 records path in
-      let before = In_channel.with_open_bin path In_channel.input_all in
-      let b = Bytes.of_string before in
-      let mid = Bytes.length b / 2 in
-      Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x04));
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-      (match Trace.migrate path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "migrate accepted a corrupt source");
-      Alcotest.(check string) "original untouched" (Bytes.to_string b)
-        (In_channel.with_open_bin path In_channel.input_all))
-
 (* Degenerate chunking: one record per chunk maximizes boundaries (every
    record restarts the delta predictors and lands exactly on a flush). *)
 let synthetic_roundtrip_chunk1 =
@@ -188,7 +109,10 @@ let test_exact_flush_boundary () =
 (* Worst-case records (alternating huge pc and data-address deltas, so
    nearly every varint runs 8-9 bytes) overflow the writer's preallocated
    scratch mid-chunk and force it to double — the growth path must be
-   byte-transparent. *)
+   byte-transparent.  The adversarial stream mixes far pc jumps with
+   sequential code and multi-byte data deltas (~4.7 bytes/record), so
+   its 512-record chunks outgrow the 2 KiB scratch at an irregular
+   point; tiny chunks take the same stream through many flushes. *)
 let test_scratch_growth () =
   let big = 1 lsl 49 in
   let records =
@@ -198,7 +122,26 @@ let test_scratch_growth () =
   with_temp (fun path ->
       let rd, out = roundtrip ~chunk_records:512 records path in
       Alcotest.(check int) "chunks" 2 (Reader.n_chunks rd);
-      Alcotest.(check bool) "identity" true (out = records))
+      Alcotest.(check bool) "identity" true (out = records));
+  let adversarial =
+    List.init 2_000 (fun i ->
+        let pc = if i mod 5 = 0 then (i * 9931) land 0xFF_FFFF else i * 2 in
+        let dinfo =
+          if i mod 2 = 0 then 0
+          else (((i * 7919) land 0xF_FFFF) lsl 5) lor (8 lsl 1) lor (i land 1)
+        in
+        (pc, dinfo))
+  in
+  List.iter
+    (fun chunk_records ->
+      with_temp (fun path ->
+          let rd, out = roundtrip ~chunk_records adversarial path in
+          Alcotest.(check bool)
+            (Printf.sprintf "adversarial chunk_records=%d identity"
+               chunk_records)
+            true
+            (out = adversarial && Reader.verify rd = Ok ())))
+    [ 1; 7; 512 ]
 
 (* The grid engine on synthetic streams: non-monotonic, unaligned pcs
    (forcing the raw i-stream path), tiny chunks forcing many
@@ -482,10 +425,8 @@ let test_writer_validation () =
       rejects "insn_bytes 3" (fun () -> Trace.Writer.create ~insn_bytes:3 path))
 
 (* Corruption: any tampering must read as an error or a Corrupt raise,
-   never as records.  Detection *time* differs by version — v1 verifies
-   every payload byte at open (the historical semantics, preserved
-   exactly); v2 detects structural and footer damage at open and payload
-   damage at the damaged chunk's first decode. *)
+   never as records.  Structural and footer damage is detected at open,
+   payload damage at the damaged chunk's first decode. *)
 
 let corruption_records = List.init 1000 (fun i -> ((i * 2) land 0xFFFF, 0))
 
@@ -505,32 +446,30 @@ let expect_error name path =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail (name ^ ": corrupt trace opened")
 
-(* The shared matrix: tampering every version must refuse at open. *)
-let corruption_common ~version path =
+(* Tampering that must refuse at open. *)
+let corruption_common path =
   let records = corruption_records in
-  let fresh () = ignore (roundtrip ~version ~chunk_records:64 records path) in
-  let name s = Printf.sprintf "v%d %s" version s in
+  let fresh () = ignore (roundtrip ~chunk_records:64 records path) in
   fresh ();
   (match Reader.open_file path with
-  | Ok rd -> Alcotest.(check int) (name "opens") version (Reader.version rd)
+  | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (* Truncation (mid-chunk: half the file is inside the payload). *)
   mangle path (fun b -> Bytes.sub b 0 (Bytes.length b / 2));
-  expect_error (name "truncation") path;
+  expect_error "truncation" path;
   (* Version skew: an unknown future version. *)
   fresh ();
   mangle path (fun b ->
       Bytes.set b 8 (Char.chr (Trace.format_version + 1));
       b);
-  expect_error (name "future version") path;
-  (* v1<->v2 version-byte confusion: relabeling a valid file as the
-     other version must fail (the footers are structurally different —
-     MD5 entries parsed as crc entries and vice versa cannot validate). *)
+  expect_error "future version" path;
+  (* An older version: a valid file relabelled as version 1 (the retired
+     MD5-footer format) must refuse, so the trace store re-captures. *)
   fresh ();
   mangle path (fun b ->
-      Bytes.set b 8 (Char.chr (if version = 1 then 2 else 1));
+      Bytes.set b 8 '\001';
       b);
-  expect_error (name "version-byte confusion") path;
+  expect_error "relabelled as version 1" path;
   (* Bit flip inside the footer index varints. *)
   fresh ();
   mangle path (fun b ->
@@ -541,30 +480,22 @@ let corruption_common ~version path =
              (String.length contents - 16))
       in
       flip (footer_offset + 2) b);
-  expect_error (name "index bit flip") path;
+  expect_error "index bit flip" path;
   (* Degenerate sizes: a zero-byte file cannot even be mapped, and a few
      stray bytes are shorter than the header — errors, not crashes. *)
   mangle path (fun _ -> Bytes.empty);
-  expect_error (name "empty file") path;
+  expect_error "empty file" path;
   mangle path (fun _ -> Bytes.of_string "REPRO");
-  expect_error (name "tiny file") path;
-  expect_error (name "missing file") (path ^ ".does-not-exist")
+  expect_error "tiny file" path;
+  expect_error "missing file" (path ^ ".does-not-exist")
 
-(* v1: payload bit flips refuse at open, exactly as before. *)
-let test_corruption_v1 () =
-  with_temp (fun path ->
-      corruption_common ~version:1 path;
-      ignore (roundtrip ~version:1 ~chunk_records:64 corruption_records path);
-      mangle path (fun b -> flip (Bytes.length b / 2) b);
-      expect_error "v1 payload bit flip" path)
-
-(* v2: footer damage (index varints, a chunk's stored crc field, the
+(* Footer damage (index varints, a chunk's stored crc field, the
    footer's own crc) refuses at open; payload damage opens — open is
    O(footer) by design — and is caught at the damaged chunk's first
    decode, by iteration ([Corrupt]) and by [verify]. *)
-let test_corruption_v2 () =
+let test_corruption () =
   with_temp (fun path ->
-      corruption_common ~version:2 path;
+      corruption_common path;
       let fresh () =
         ignore (roundtrip ~chunk_records:64 corruption_records path)
       in
@@ -620,98 +551,6 @@ let test_corruption_v2 () =
       | Ok rd ->
         Alcotest.(check (result unit string)) "pristine verifies" (Ok ())
           (Reader.verify rd))
-
-(* The checked-in golden v1 trace: a fixed synthetic stream written by
-   the v1 writer once and committed (test/golden_v1.trc, a dune test
-   dep).  The current reader must keep opening and replaying it — the
-   real compatibility gate, since it cannot silently co-evolve with the
-   code — and the v1 writer path must still reproduce it byte-for-byte,
-   so legacy emission never drifts. *)
-let golden_records =
-  List.init 4096 (fun i ->
-      let pc = (i * 6) land 0xFFFFF in
-      let dinfo =
-        if i mod 3 = 0 then 0
-        else (((i * 37) land 0xFFFF) lsl 5) lor (4 lsl 1) lor (i land 1)
-      in
-      (pc, dinfo))
-
-(* Under `dune runtest` the dep is beside the executable; under a bare
-   `dune exec test/test_main.exe` from the repo root it is in test/. *)
-let golden_path =
-  List.find_opt Sys.file_exists [ "golden_v1.trc"; "test/golden_v1.trc" ]
-  |> Option.value ~default:"golden_v1.trc"
-
-let test_golden_v1 () =
-  (match Reader.open_file golden_path with
-  | Error e -> Alcotest.fail ("golden v1 fixture: " ^ e)
-  | Ok rd ->
-    Alcotest.(check int) "golden is v1" 1 (Reader.version rd);
-    Alcotest.(check int) "golden records" (List.length golden_records)
-      (Reader.n_records rd);
-    let out = ref [] in
-    Reader.iter rd (fun ~pc ~dinfo -> out := (pc, dinfo) :: !out);
-    Alcotest.(check bool) "golden replays" true
-      (List.rev !out = golden_records));
-  with_temp (fun path ->
-      let _ = roundtrip ~version:1 ~chunk_records:512 golden_records path in
-      Alcotest.(check string) "v1 writer byte-stable"
-        (In_channel.with_open_bin golden_path In_channel.input_all)
-        (In_channel.with_open_bin path In_channel.input_all))
-
-(* The two capture modes — inline encode vs the background flusher
-   domain — must emit byte-identical files for either format version and
-   any chunking, including chunks of 1 (a hand-off per record) and
-   adversarial multi-byte deltas. *)
-let write_with ~flusher ?version ?chunk_records records path =
-  let w =
-    Trace.Writer.create ?version ?chunk_records ~flusher ~insn_bytes:2 path
-  in
-  List.iter (fun (pc, dinfo) -> Trace.Writer.step w ~pc ~dinfo) records;
-  Trace.Writer.close w;
-  In_channel.with_open_bin path In_channel.input_all
-
-let test_flusher_differential () =
-  let adversarial =
-    List.init 2_000 (fun i ->
-        let pc = if i mod 5 = 0 then (i * 9931) land 0xFF_FFFF else i * 2 in
-        let dinfo =
-          if i mod 2 = 0 then 0
-          else (((i * 7919) land 0xF_FFFF) lsl 5) lor (8 lsl 1) lor (i land 1)
-        in
-        (pc, dinfo))
-  in
-  List.iter
-    (fun version ->
-      List.iter
-        (fun chunk_records ->
-          let direct =
-            with_temp
-              (write_with ~flusher:false ~version ~chunk_records adversarial)
-          in
-          let offloaded =
-            with_temp
-              (write_with ~flusher:true ~version ~chunk_records adversarial)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "v%d chunk_records=%d byte-equal" version
-               chunk_records)
-            true
-            (String.equal direct offloaded))
-        [ 1; 7; 512 ])
-    [ 1; 2 ]
-
-let flusher_differential_qcheck =
-  QCheck.Test.make ~name:"flusher mode emits identical bytes" ~count:30
-    (QCheck.make QCheck.Gen.(list_size (int_bound 300) gen_record))
-    (fun records ->
-      let direct =
-        with_temp (write_with ~flusher:false ~chunk_records:7 records)
-      in
-      let offloaded =
-        with_temp (write_with ~flusher:true ~chunk_records:7 records)
-      in
-      String.equal direct offloaded)
 
 (* Published traces are immutable (temp file + rename), so the reader
    maps the file and trusts the pages.  Unlinking a mapped trace must not
@@ -907,35 +746,61 @@ let differential bench (t : Target.t) =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail (name "Fused.run without ~img accepted")))
 
-(* Two domains that hand off their first chunks at once both start the
-   shared flusher.  Each round is a fresh process (the flusher starts once
-   per process) running test/writer_race.ml with the flusher forced on;
-   the child arms its own alarm, so a hang ends as a kill, not a stuck
-   suite. *)
-let test_flusher_start_race () =
+(* Two domains capture the same path at the same moment, many rounds
+   over: each writes its own temp file, the last rename wins, and the
+   file left behind is a complete, verifying trace. *)
+let test_two_domains_capture () =
+  with_temp (fun path ->
+      for round = 1 to 12 do
+        let one () =
+          let w = Trace.Writer.create ~chunk_records:1 ~insn_bytes:4 path in
+          Trace.Writer.step w ~pc:0 ~dinfo:0;
+          Trace.Writer.close w
+        in
+        let d1 = Domain.spawn one and d2 = Domain.spawn one in
+        Domain.join d1;
+        Domain.join d2;
+        match Reader.open_file path with
+        | Ok rd when Reader.n_records rd = 1 && Reader.verify rd = Ok () -> ()
+        | Ok _ -> Alcotest.failf "round %d: wrong or unverified trace" round
+        | Error e -> Alcotest.failf "round %d: %s" round e
+      done)
+
+(* Two processes capture the same path: a second process
+   (test/writer_race.ml, started with [create_process] rather than [fork]
+   because the suite runs domains) writes and closes its own capture
+   while this process's writer is still open.  Both run on domain 0, so
+   only the process id keeps their temp files apart.  Both closes must
+   succeed, and the file left behind is this process's capture (the
+   last rename), complete and verifying. *)
+let test_two_processes_capture () =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "writer_race.exe"
   in
-  let env = Array.append [| "REPRO_TRACE_FLUSHER=1" |] (Unix.environment ()) in
-  for round = 1 to 12 do
-    let dir = Filename.temp_dir "repro-writer-race" "" in
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir)
-      (fun () ->
-        let pid =
-          Unix.create_process_env exe [| exe; dir |] env Unix.stdin Unix.stdout
-            Unix.stderr
-        in
-        match snd (Unix.waitpid [] pid) with
-        | Unix.WEXITED 0 -> ()
-        | Unix.WEXITED n ->
-          Alcotest.failf "round %d: writer race child exited %d" round n
-        | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-          Alcotest.failf "round %d: writer race child killed by signal %d \
-                          (hung until its alarm)" round s)
-  done
+  with_temp (fun path ->
+      let w = Trace.Writer.create ~chunk_records:64 ~insn_bytes:4 path in
+      for i = 0 to 299 do
+        Trace.Writer.step w ~pc:(4 * i) ~dinfo:0
+      done;
+      let pid =
+        Unix.create_process exe [| exe; path |] Unix.stdin Unix.stdout
+          Unix.stderr
+      in
+      (match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "second process exited %d" n
+      | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+        Alcotest.failf "second process killed by signal %d" s);
+      for i = 300 to 599 do
+        Trace.Writer.step w ~pc:(4 * i) ~dinfo:0
+      done;
+      Trace.Writer.close w;
+      match Reader.open_file path with
+      | Error e -> Alcotest.fail e
+      | Ok rd ->
+        Alcotest.(check int) "last capture wins" 600 (Reader.n_records rd);
+        Alcotest.(check (result unit string)) "verifies" (Ok ())
+          (Reader.verify rd))
 
 let differential_case bench =
   Alcotest.test_case ("differential " ^ bench) `Slow (fun () ->
@@ -944,7 +809,6 @@ let differential_case bench =
 let tests =
   [
     QCheck_alcotest.to_alcotest synthetic_roundtrip;
-    QCheck_alcotest.to_alcotest synthetic_roundtrip_v1;
     QCheck_alcotest.to_alcotest synthetic_roundtrip_chunk1;
     Alcotest.test_case "exact flush boundaries" `Quick test_exact_flush_boundary;
     Alcotest.test_case "scratch growth" `Quick test_scratch_growth;
@@ -954,17 +818,12 @@ let tests =
     Alcotest.test_case "compiled programs roundtrip" `Slow progfuzz_roundtrip;
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
-    Alcotest.test_case "corruption detected (v1)" `Quick test_corruption_v1;
-    Alcotest.test_case "corruption detected (v2)" `Quick test_corruption_v2;
-    Alcotest.test_case "migrate v1 to v2" `Quick test_migrate;
-    Alcotest.test_case "migrate rejects corrupt source" `Quick
-      test_migrate_corrupt;
-    Alcotest.test_case "golden v1 fixture replays" `Quick test_golden_v1;
-    Alcotest.test_case "flusher mode byte-equal" `Quick
-      test_flusher_differential;
-    QCheck_alcotest.to_alcotest flusher_differential_qcheck;
+    Alcotest.test_case "corruption detected (v2)" `Quick test_corruption;
     Alcotest.test_case "unlink while mapped" `Quick test_unlink_while_mapped;
-    Alcotest.test_case "flusher start race" `Quick test_flusher_start_race;
+    Alcotest.test_case "two domains capture at once" `Quick
+      test_two_domains_capture;
+    Alcotest.test_case "two processes capture at once" `Quick
+      test_two_processes_capture;
   ]
   @ List.map
       (fun (b : Suite.benchmark) -> differential_case b.Suite.name)
