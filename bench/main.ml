@@ -117,7 +117,14 @@ let trace_tests =
       (fun size -> Memsys.cache_config ~size ~block:32 ~sub:4)
       [ 1024; 2048; 4096; 8192 ]
   in
-  let grid_spec cfg = { Replay.Grid.icache = cfg; dcache = cfg } in
+  let replay_caches rd cfgs =
+    Replay.run rd
+      {
+        Replay.empty with
+        caches =
+          List.map (fun cfg -> { Replay.icache = cfg; dcache = cfg }) cfgs;
+      }
+  in
   (* 16 distinct geometries; grid-replay:Ncfg takes a prefix, so the three
      substrates share their fixed cost (open + checksum + one decode) and
      differ only in automata count — the sublinearity the engine claims. *)
@@ -137,7 +144,7 @@ let trace_tests =
     match Trace.Reader.open_file path with
     | Error e -> failwith e
     | Ok rd ->
-      ignore (Replay.Grid.run rd (List.map grid_spec (take n grid_cfgs)))
+      ignore (replay_caches rd (take n grid_cfgs))
   in
   (* One long-lived pool so the parallel test times replay, not
      Domain.spawn — created lazily at the test's first run, because even
@@ -177,15 +184,17 @@ let trace_tests =
     Test.make ~name:"trace-cache-replay:4K:queens"
       (Staged.stage (fun () ->
            let cfg = Memsys.cache_config ~size:4096 ~block:32 ~sub:4 in
-           ignore (Replay.cached ~icache:cfg ~dcache:cfg rd)));
+           ignore (replay_caches rd [ cfg ])));
     Test.make ~name:"trace-fetch-seq:queens"
-      (Staged.stage (fun () -> ignore (Replay.nocache rd ~bus_bytes:4)));
+      (Staged.stage (fun () ->
+           ignore (Replay.run rd { Replay.empty with buses = [ 4 ] })));
     Test.make ~name:"trace-fetch-par:queens"
       (Staged.stage (fun () ->
            ignore
-             (Replay.nocache
+             (Replay.run
                 ~map:(fun f xs -> Pool.map ~pool:(Lazy.force pool) f xs)
-                rd ~bus_bytes:4)));
+                rd
+                { Replay.empty with buses = [ 4 ] })));
     Test.make ~name:"sweep-direct:4cfg:queens"
       (Staged.stage (fun () ->
            let r = Machine.run ~trace:true img in
@@ -199,7 +208,7 @@ let trace_tests =
            match Trace.Reader.open_file path with
            | Error e -> failwith e
            | Ok rd ->
-             ignore (Replay.Grid.run rd (List.map grid_spec sweep_cfgs))));
+             ignore (replay_caches rd sweep_cfgs)));
     Test.make ~name:"grid-replay:4cfg:queens" (Staged.stage (grid_replay 4));
     Test.make ~name:"grid-replay:8cfg:queens" (Staged.stage (grid_replay 8));
     Test.make ~name:"grid-replay:16cfg:queens" (Staged.stage (grid_replay 16));
@@ -248,20 +257,22 @@ let uarch_tests =
   let uarch_grid n () =
     match Trace.Reader.open_file path with
     | Error e -> failwith e
-    | Ok rd -> ignore (Replay.Upipelines.run rd (take n grid_cfgs) img)
+    | Ok rd ->
+      ignore
+        (Replay.run ~img rd { Replay.empty with pipelines = take n grid_cfgs })
   in
-  (* Fused cross product: the same 8 cache geometries grid-replay:8cfg
+  (* Both axes in one run: the same 8 cache geometries grid-replay:8cfg
      times plus the same 4 pipeline configurations uarch-grid:4cfg times,
      all from ONE reopen + decode of the trace.  CI tracks fused:8x4 <
-     grid-replay:8cfg + uarch-grid:4cfg — the sublinearity the fused
-     engine exists for. *)
+     grid-replay:8cfg + uarch-grid:4cfg — one all-axis Replay.run must
+     beat the two single-axis runs it replaces. *)
   let fused_caches =
     List.concat_map
       (fun block ->
         List.map
           (fun sub ->
             let cfg = Memsys.cache_config ~size:1024 ~block ~sub in
-            { Replay.Grid.icache = cfg; dcache = cfg })
+            { Replay.icache = cfg; dcache = cfg })
           [ 4; 8 ])
       [ 8; 16; 32; 64 ]
   in
@@ -270,9 +281,9 @@ let uarch_tests =
     | Error e -> failwith e
     | Ok rd ->
       ignore
-        (Replay.Fused.run ~img rd
+        (Replay.run ~img rd
            {
-             Replay.Fused.buses = [];
+             Replay.empty with
              caches = fused_caches;
              pipelines = take 4 grid_cfgs;
            })
@@ -323,10 +334,14 @@ let isavar_tests =
     Test.make ~name:"mixed:grid:queens"
       (Staged.stage (fun () ->
            ignore
-             (Replay.Grid.run d16m_rd
-                (List.map
-                   (fun cfg -> { Replay.Grid.icache = cfg; dcache = cfg })
-                   mixed_grid_cfgs))));
+             (Replay.run d16m_rd
+                {
+                  Replay.empty with
+                  caches =
+                    List.map
+                      (fun cfg -> { Replay.icache = cfg; dcache = cfg })
+                      mixed_grid_cfgs;
+                })));
   ]
 
 (* Service-plane substrates: what the `d16c serve` daemon charges for a

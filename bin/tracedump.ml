@@ -7,20 +7,19 @@
      dune exec bin/tracedump.exe -- (--bench NAME [TARGET] | FILE.trc)
        [--summary] [--chunks] [--dump N] [--from PC] [--to PC]
        [--loads] [--stores] [--working-set] [--traffic] [--grid] [--cpi]
-       [--fused] [--jobs N]
+       [--jobs N]
 
    FILE.trc must be a current-format trace (Trace.format_version); any
    other file is refused with the reader's reason.
 
    With no mode flags, prints the summary.  --working-set, --traffic,
-   --grid, --cpi and --fused replay chunk-parallel over --jobs domains
-   (--working-set merges order-free counters; the rest run Replay's
-   unified automaton with exact per-chunk reconciliation).  --cpi and
-   --fused need --bench (the pipeline model reads the image's
-   instruction descriptors).  --fused runs the whole cross product —
-   bus widths x the standard cache grid x the standard pipeline sweep —
-   from one decode of the trace (Replay.Fused) and prints every
-   section.                                                              *)
+   --grid and --cpi replay chunk-parallel over --jobs domains
+   (--working-set merges order-free counters).  --traffic, --grid and
+   --cpi each add one axis — bus widths, the standard cache grid, the
+   standard pipeline sweep — to a single Replay.run, so any mix of them
+   shares one decode of the trace with exact per-chunk reconciliation.
+   --cpi needs --bench (the pipeline model reads the image's
+   instruction descriptors).                                            *)
 
 module Target = Repro_core.Target
 module Runs = Repro_harness.Runs
@@ -32,7 +31,7 @@ module Reader = Repro_trace.Trace.Reader
 let usage =
   "tracedump (--bench NAME [TARGET] | FILE.trc) [--summary] [--chunks]\n\
   \       [--dump N] [--from PC] [--to PC] [--loads] [--stores]\n\
-  \       [--working-set] [--traffic] [--grid] [--cpi] [--fused] [--jobs N]"
+  \       [--working-set] [--traffic] [--grid] [--cpi] [--jobs N]"
 
 let int_arg cli name ~default =
   match Cli.flag_arg cli name with
@@ -162,66 +161,34 @@ let print_cpi cfgs results =
         s.Repro_uarch.Stalls.dmiss_stalls s.Repro_uarch.Stalls.wmiss_stalls)
     cfgs results
 
-(* Fetch-traffic histogram: memory requests of the cacheless machine at
-   each bus width, chunk-parallel with exact boundary merge. *)
-let traffic rd ~jobs =
-  print_traffic rd traffic_buses
-    (List.map
-       (fun bus ->
-         Replay.nocache ~map:(fun f xs -> Pool.map ~jobs f xs) rd ~bus_bytes:bus)
-       traffic_buses)
-
-let grid_specs geometries =
-  List.map
-    (fun (size, block, sub) ->
-      let cfg = Repro_sim.Memsys.cache_config ~size ~block ~sub in
-      { Replay.Grid.icache = cfg; dcache = cfg })
-    geometries
-
-(* Miss rates for the standard cache grid, every geometry fed by one
-   decode of the trace ([Replay.Grid]): chunks fan out across domains,
-   per-chunk automaton states reconcile exactly at the merge. *)
-let grid rd ~jobs =
-  let geometries = Runs.standard_grid in
-  let results =
-    Replay.Grid.run
-      ~map:(fun f xs -> Pool.map ~jobs f xs)
-      rd (grid_specs geometries)
-  in
-  print_grid geometries results
-
-(* Per-configuration CPI and stall breakdown over the standard pipeline
-   sweep, all configurations fed by one decode of the trace
-   ([Replay.Upipelines]): a shared scoreboard automaton plus memory
-   automatons deduplicated by behaviour class, chunk-parallel with exact
-   convergence-checked reconciliation.  Needs the image for the
-   instruction descriptors, so it is only available with --bench. *)
-let cpi rd img ~jobs =
-  let cfgs = Runs.standard_uarch_configs in
-  let results =
-    Replay.Upipelines.run ~map:(fun f xs -> Pool.map ~jobs f xs) rd cfgs img
-  in
-  print_cpi cfgs results
-
-(* The whole cross product from one decode ([Replay.Fused]): bus widths,
-   the standard cache grid, and the standard pipeline sweep run their
-   automatons over the same decoded chunks simultaneously. *)
-let fused rd img ~jobs =
-  let geometries = Runs.standard_grid in
-  let cfgs = Runs.standard_uarch_configs in
+(* Every replay mode from one decode of the trace: each selected mode adds
+   its axis to one [Replay.run] — the cacheless machine's memory requests
+   at each bus width, the standard cache grid's miss rates, the standard
+   pipeline sweep's CPI and stall breakdown (which needs the image for
+   the instruction descriptors).  Chunks fan out across domains and
+   reconcile exactly at the merge. *)
+let replay ?img ~traffic ~grid ~cpi ~jobs rd =
+  let buses = if traffic then traffic_buses else [] in
+  let geometries = if grid then Runs.standard_grid else [] in
+  let cfgs = if cpi then Runs.standard_uarch_configs else [] in
   let r =
-    Replay.Fused.run
+    Replay.run
       ~map:(fun f xs -> Pool.map ~jobs f xs)
-      ~img rd
+      ?img rd
       {
-        Replay.Fused.buses = traffic_buses;
-        caches = grid_specs geometries;
+        Replay.buses;
+        caches =
+          List.map
+            (fun (size, block, sub) ->
+              let cfg = Repro_sim.Memsys.cache_config ~size ~block ~sub in
+              { Replay.icache = cfg; dcache = cfg })
+            geometries;
         pipelines = cfgs;
       }
   in
-  print_traffic rd traffic_buses r.Replay.Fused.nocaches;
-  print_grid geometries r.Replay.Fused.cacheds;
-  print_cpi cfgs r.Replay.Fused.pipes
+  if traffic then print_traffic rd buses r.Replay.nocaches;
+  if grid then print_grid geometries r.Replay.cacheds;
+  if cpi then print_cpi cfgs r.Replay.pipes
 
 let () =
   let cli =
@@ -229,7 +196,7 @@ let () =
       ~flags_with_arg:[ "--bench"; "--dump"; "--from"; "--to"; "--jobs" ]
       ~flags:
         [ "--summary"; "--chunks"; "--loads"; "--stores"; "--working-set";
-          "--traffic"; "--grid"; "--cpi"; "--fused" ]
+          "--traffic"; "--grid"; "--cpi" ]
       ~usage Sys.argv
   in
   let target_of_rest = function
@@ -259,7 +226,7 @@ let () =
   let any_mode =
     List.exists (Cli.flag cli)
       [ "--chunks"; "--working-set"; "--traffic"; "--grid"; "--cpi";
-        "--fused"; "--loads"; "--stores" ]
+        "--loads"; "--stores" ]
     || Cli.flag_arg cli "--dump" <> None
   in
   if Cli.flag cli "--summary" || not any_mode then summary rd;
@@ -275,19 +242,12 @@ let () =
       ~loads_only:(Cli.flag cli "--loads")
       ~stores_only:(Cli.flag cli "--stores");
   if Cli.flag cli "--working-set" then working_set rd ~jobs;
-  if Cli.flag cli "--traffic" then traffic rd ~jobs;
-  if Cli.flag cli "--grid" then grid rd ~jobs;
-  (if Cli.flag cli "--cpi" then
-     match img with
-     | Some img -> cpi rd img ~jobs
-     | None ->
-       prerr_endline
-         "tracedump: --cpi needs the program image; use --bench NAME [TARGET]";
-       exit 1);
-  if Cli.flag cli "--fused" then
-    match img with
-    | Some img -> fused rd img ~jobs
-    | None ->
-      prerr_endline
-        "tracedump: --fused needs the program image; use --bench NAME [TARGET]";
-      exit 1
+  let traffic = Cli.flag cli "--traffic" in
+  let grid = Cli.flag cli "--grid" in
+  let cpi = Cli.flag cli "--cpi" in
+  if cpi && img = None then begin
+    prerr_endline
+      "tracedump: --cpi needs the program image; use --bench NAME [TARGET]";
+    exit 1
+  end;
+  if traffic || grid || cpi then replay ?img ~traffic ~grid ~cpi ~jobs rd

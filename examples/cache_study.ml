@@ -5,7 +5,7 @@
 
    The sweep uses the single-pass grid engine: each target executes once
    (streaming its trace to a temp file), then one decode of that trace
-   feeds every cache size simultaneously (Replay.Grid) — no re-execution
+   feeds every cache size simultaneously (Replay.run) — no re-execution
    and no per-size replay.
 
    Run with:  dune exec examples/cache_study.exe [benchmark] [penalty]
@@ -54,14 +54,14 @@ let () =
           | Ok rd -> rd
           | Error e -> failwith e
         in
-        let specs =
+        let caches =
           List.map
             (fun size ->
               let cfg = Memsys.cache_config ~size ~block:32 ~sub:4 in
-              { Replay.Grid.icache = cfg; dcache = cfg })
+              { Replay.icache = cfg; dcache = cfg })
             sizes
         in
-        (r, Replay.Grid.run rd specs))
+        (r, (Replay.run rd { Replay.empty with caches }).Replay.cacheds))
   in
   let r16, grid16 = run_grid Target.d16 in
   let r32, grid32 = run_grid Target.dlxe in

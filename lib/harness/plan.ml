@@ -102,11 +102,14 @@ let describe s =
     | Trace -> " (trace capture)")
 
 let execute ?chunk_map s =
+  let sweeps ~grid ~uarch =
+    Runs.ensure_sweeps ?map:chunk_map ~grid ~uarch s.bench s.target
+  in
   match s.kind with
   | Stats -> ignore (Runs.stats s.bench s.target)
-  | Grid -> Runs.ensure_grid ?map:chunk_map s.bench s.target
-  | Uarch -> Runs.ensure_uarch ?map:chunk_map s.bench s.target
-  | Fused -> Runs.ensure_fused ?map:chunk_map s.bench s.target
+  | Grid -> sweeps ~grid:true ~uarch:false
+  | Uarch -> sweeps ~grid:false ~uarch:true
+  | Fused -> sweeps ~grid:true ~uarch:true
   | Trace -> Runs.ensure_trace s.bench s.target
 
 let suite_names = List.map (fun b -> b.Suite.name) Suite.all

@@ -9,11 +9,12 @@
     serial. *)
 
 (** The unit of work: the {!Runs.stats} measurements (one streamed
-    execution, no trace), the standard cache grid ({!Runs.ensure_grid}),
-    the standard cycle-accurate pipeline sweep ({!Runs.ensure_uarch}),
-    both at once from a single decode ({!Runs.ensure_fused}), or a trace
-    capture into the store ({!Runs.ensure_trace}), whose output the
-    three sweep kinds replay. *)
+    execution, no trace), the standard cache grid, the standard
+    cycle-accurate pipeline sweep, both at once from a single decode, or
+    a trace capture into the store ({!Runs.ensure_trace}), whose output
+    the three sweep kinds replay.  [Grid], [Uarch] and [Fused] are the
+    axis choices of the one sweep path, {!Runs.ensure_sweeps}: grid only,
+    pipeline sweep only, or both. *)
 type kind = Stats | Grid | Uarch | Fused | Trace
 
 type spec = { bench : string; target : Repro_core.Target.t; kind : kind }
@@ -76,11 +77,11 @@ val for_experiment : string -> t
 
 val execute : ?chunk_map:Repro_trace.Replay.map -> spec -> unit
 (** Run one spec to completion through {!Runs} (memo + disk cache).
-    [?chunk_map] is forwarded to the replay engines (every engine runs
-    the same unified automaton, so one scheduler hook serves Grid, Uarch
-    and Fused specs alike) so a scheduler with spare capacity can spread
-    a replay's trace chunks across domains on top of the across-spec
-    parallelism (chunks × benchmarks). *)
+    A [Grid], [Uarch] or [Fused] spec is one {!Runs.ensure_sweeps} call
+    with that kind's axes.  [?chunk_map] is forwarded to its
+    {!Repro_trace.Replay.run}, so a scheduler with spare capacity can
+    spread a replay's trace chunks across domains on top of the
+    across-spec parallelism (chunks × benchmarks). *)
 
 val describe : spec -> string
 

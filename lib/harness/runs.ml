@@ -341,53 +341,9 @@ let install_grid bench (target : Target.t) entries =
             c)
         entries)
 
-let replay_one rd (size, block, sub) =
+let cache_pair (size, block, sub) =
   let cfg = Memsys.cache_config ~size ~block ~sub in
-  Replay.cached ~icache:cfg ~dcache:cfg rd
-
-let grid_spec (size, block, sub) =
-  let cfg = Memsys.cache_config ~size ~block ~sub in
-  { Replay.Grid.icache = cfg; dcache = cfg }
-
-let ensure_grid ?map bench (target : Target.t) =
-  if not (grid_complete bench target) then begin
-    let entries
-        : ((int * int * int) * Memsys.cached) list =
-      match Diskcache.find (grid_key bench target) with
-      | Some entries -> entries
-      | None ->
-        (* Trace-driven, as in the paper's dinero study — but single-pass:
-           one decode of the stored trace feeds every geometry's automaton
-           simultaneously ({!Replay.Grid}), instead of one full replay per
-           geometry. *)
-        let rd = trace_reader bench target in
-        let results =
-          Replay.Grid.run ?map rd (List.map grid_spec standard_grid)
-        in
-        let entries = List.combine standard_grid results in
-        Diskcache.store (grid_key bench target) entries;
-        entries
-    in
-    install_grid bench target entries
-  end
-
-let cached bench (target : Target.t) ~size ~block ~sub =
-  let key = (bench, target.Target.name, size, block, sub) in
-  match with_lock (fun () -> Hashtbl.find_opt cache_tbl key) with
-  | Some c -> c
-  | None ->
-    ensure_grid bench target;
-    (match with_lock (fun () -> Hashtbl.find_opt cache_tbl key) with
-    | Some c -> c
-    | None ->
-      (* Off-grid geometry: one dedicated replay of the stored trace. *)
-      let c =
-        Diskcache.memo
-          (geometry_key bench target ~size ~block ~sub)
-          (fun () -> replay_one (trace_reader bench target) (size, block, sub))
-      in
-      with_lock (fun () -> Hashtbl.replace cache_tbl key c);
-      c)
+  { Replay.icache = cfg; dcache = cfg }
 
 let uarch_complete bench (target : Target.t) =
   with_lock (fun () ->
@@ -402,101 +358,97 @@ let install_uarch bench (target : Target.t) entries =
           Hashtbl.replace uarch_tbl (bench, target.Target.name, cfg) res)
         entries)
 
-let ensure_uarch ?map bench (target : Target.t) =
-  if not (uarch_complete bench target) then begin
-    (* The disk format stays describe-keyed (it predates the structural
-       memo keys), so existing cache entries remain valid. *)
-    let entries : (string * Upipeline.result) list =
-      match Diskcache.find (uarch_sweep_key bench target) with
-      | Some entries -> entries
-      | None ->
-        (* One decode of the stored trace feeds every configuration:
-           a shared scoreboard plus deduplicated memory automatons,
-           chunk-parallel when [map] fans out ({!Replay.Upipelines}). *)
-        let results =
-          Replay.Upipelines.run ?map
-            (trace_reader bench target)
-            standard_uarch_configs (image bench target)
-        in
-        let entries =
-          List.map2
-            (fun cfg res -> (Uconfig.describe cfg, res))
-            standard_uarch_configs results
-        in
-        Diskcache.store (uarch_sweep_key bench target) entries;
-        entries
-    in
-    install_uarch bench target
-      (List.map
-         (fun cfg -> (cfg, List.assoc (Uconfig.describe cfg) entries))
-         standard_uarch_configs)
-  end
-
-(* One fused pass covering whichever of the two standard sweeps is still
-   cold.  The disk entries and memo installs are exactly {!ensure_grid}'s
-   and {!ensure_uarch}'s — the fusion only shares the decode and the
-   trace traversal, so a later call to either is a no-op. *)
-let ensure_fused ?map bench (target : Target.t) =
-  let need_grid = not (grid_complete bench target) in
-  let need_uarch = not (uarch_complete bench target) in
+(* The one sweep path.  [grid] and [uarch] name the standard sweeps the
+   caller needs; an axis already complete in the memo or stored on disk
+   is skipped, and whatever is still cold comes from ONE replay of the
+   stored trace, so a grid and a pipeline sweep share a decode.  The disk
+   entries hold each sweep on its own, whichever call filled them. *)
+let ensure_sweeps ?map ~grid ~uarch bench (target : Target.t) =
+  let need_grid = grid && not (grid_complete bench target) in
+  let need_uarch = uarch && not (uarch_complete bench target) in
   if need_grid || need_uarch then begin
     let disk_grid : ((int * int * int) * Memsys.cached) list option =
       if need_grid then Diskcache.find (grid_key bench target) else None
     in
+    (* The disk format stays describe-keyed (it predates the structural
+       memo keys), so existing cache entries remain valid. *)
     let disk_uarch : (string * Upipeline.result) list option =
       if need_uarch then Diskcache.find (uarch_sweep_key bench target)
       else None
     in
     let want_grid = need_grid && disk_grid = None in
     let want_uarch = need_uarch && disk_uarch = None in
-    let computed_grid, computed_uarch =
-      if want_grid || want_uarch then begin
-        let rd = trace_reader bench target in
-        let img = if want_uarch then Some (image bench target) else None in
-        let spec =
-          {
-            Replay.Fused.buses = [];
-            caches =
-              (if want_grid then List.map grid_spec standard_grid else []);
-            pipelines = (if want_uarch then standard_uarch_configs else []);
-          }
-        in
-        let r = Replay.Fused.run ?map ?img rd spec in
-        let g =
-          if want_grid then begin
-            let entries = List.combine standard_grid r.Replay.Fused.cacheds in
-            Diskcache.store (grid_key bench target) entries;
-            Some entries
-          end
-          else None
-        in
-        let u =
-          if want_uarch then begin
-            let entries =
-              List.map2
-                (fun cfg res -> (Uconfig.describe cfg, res))
-                standard_uarch_configs r.Replay.Fused.pipes
-            in
-            Diskcache.store (uarch_sweep_key bench target) entries;
-            Some entries
-          end
-          else None
-        in
-        (g, u)
-      end
-      else (None, None)
+    let replayed =
+      lazy
+        (Replay.run ?map
+           ?img:(if want_uarch then Some (image bench target) else None)
+           (trace_reader bench target)
+           {
+             Replay.empty with
+             caches =
+               (if want_grid then List.map cache_pair standard_grid else []);
+             pipelines = (if want_uarch then standard_uarch_configs else []);
+           })
     in
-    (match if computed_grid <> None then computed_grid else disk_grid with
-    | Some entries when need_grid -> install_grid bench target entries
-    | _ -> ());
-    match if computed_uarch <> None then computed_uarch else disk_uarch with
-    | Some entries when need_uarch ->
-      install_uarch bench target
-        (List.map
-           (fun cfg -> (cfg, List.assoc (Uconfig.describe cfg) entries))
-           standard_uarch_configs)
-    | _ -> ()
+    let grid_entries =
+      if want_grid then begin
+        let entries =
+          List.combine standard_grid (Lazy.force replayed).Replay.cacheds
+        in
+        Diskcache.store (grid_key bench target) entries;
+        Some entries
+      end
+      else disk_grid
+    in
+    Option.iter (install_grid bench target) grid_entries;
+    let uarch_entries =
+      if want_uarch then begin
+        let entries =
+          List.map2
+            (fun cfg res -> (Uconfig.describe cfg, res))
+            standard_uarch_configs (Lazy.force replayed).Replay.pipes
+        in
+        Diskcache.store (uarch_sweep_key bench target) entries;
+        Some entries
+      end
+      else disk_uarch
+    in
+    Option.iter
+      (fun entries ->
+        install_uarch bench target
+          (List.map
+             (fun cfg -> (cfg, List.assoc (Uconfig.describe cfg) entries))
+             standard_uarch_configs))
+      uarch_entries
   end
+
+let cached bench (target : Target.t) ~size ~block ~sub =
+  let key = (bench, target.Target.name, size, block, sub) in
+  match with_lock (fun () -> Hashtbl.find_opt cache_tbl key) with
+  | Some c -> c
+  | None ->
+    ensure_sweeps ~grid:true ~uarch:false bench target;
+    (match with_lock (fun () -> Hashtbl.find_opt cache_tbl key) with
+    | Some c -> c
+    | None ->
+      (* Off-grid geometry: one dedicated replay of the stored trace. *)
+      let c =
+        Diskcache.memo
+          (geometry_key bench target ~size ~block ~sub)
+          (fun () ->
+            match
+              (Replay.run (trace_reader bench target)
+                 {
+                   Replay.empty with
+                   caches = [ cache_pair (size, block, sub) ];
+                 })
+                .Replay.cacheds
+            with
+            | [ c ] -> c
+            | _ -> assert false)
+      in
+      with_lock (fun () -> Hashtbl.replace cache_tbl key c);
+      c)
 
 (* Macro-op fusion counters under the default rule table: one sequential
    pass over the stored trace through the shared chunk-decode cache, so a
@@ -520,7 +472,7 @@ let uarch bench (target : Target.t) cfg =
   match with_lock (fun () -> Hashtbl.find_opt uarch_tbl key) with
   | Some res -> res
   | None ->
-    ensure_uarch bench target;
+    ensure_sweeps ~grid:false ~uarch:true bench target;
     (match with_lock (fun () -> Hashtbl.find_opt uarch_tbl key) with
     | Some res -> res
     | None ->
@@ -528,9 +480,10 @@ let uarch bench (target : Target.t) cfg =
       let res =
         Diskcache.memo (uarch_one_key bench target cfg) (fun () ->
             match
-              Replay.Upipelines.run
-                (trace_reader bench target)
-                [ cfg ] (image bench target)
+              (Replay.run ~img:(image bench target)
+                 (trace_reader bench target)
+                 { Replay.empty with pipelines = [ cfg ] })
+                .Replay.pipes
             with
             | [ res ] -> res
             | _ -> assert false)

@@ -58,21 +58,9 @@ val cached :
   Repro_sim.Memsys.cached
 (** Cache statistics for split I/D caches of the given geometry (both caches
     identical, as in the paper's figures).  Memoized; the first request for
-    a (benchmark, target) runs the trace once and replays the whole standard
-    grid. *)
-
-val ensure_grid :
-  ?map:Repro_trace.Replay.map ->
-  string ->
-  Repro_core.Target.t ->
-  unit
-(** Populate the standard cache grid for one (benchmark, target), from disk
-    when possible: one decode of the stored trace drives all 25 geometries
-    ({!Repro_trace.Replay.Grid}).  The unit of work {!Pool} schedules for
-    cache studies.  [?map] lets a caller spread the trace's chunks across
-    domains (pass [Pool.map ~jobs] or [Pool.map ~pool]); the default is
-    sequential.  This module cannot depend on {!Pool} — injection keeps the
-    dependency one-way. *)
+    a (benchmark, target) fills the whole standard grid
+    ({!ensure_sweeps} [~grid:true]); an off-grid geometry is one
+    single-pair {!Repro_trace.Replay.run} of the stored trace. *)
 
 val uarch :
   string ->
@@ -82,34 +70,28 @@ val uarch :
 (** Cycle-accurate pipeline-model result (stall breakdown, cache counters)
     for one memory configuration.  Memoized (keyed structurally on the
     configuration — the render paths probe hundreds of times); the first
-    request for a (benchmark, target) runs the standard sweep — one decode
-    of the stored trace feeding every configuration in
-    {!standard_uarch_configs}. *)
+    request for a (benchmark, target) fills the standard sweep
+    ({!ensure_sweeps} [~uarch:true]); an off-sweep configuration is one
+    single-configuration {!Repro_trace.Replay.run} of the stored trace. *)
 
-val ensure_uarch :
+val ensure_sweeps :
   ?map:Repro_trace.Replay.map ->
+  grid:bool ->
+  uarch:bool ->
   string ->
   Repro_core.Target.t ->
   unit
-(** Populate the standard pipeline-model sweep for one (benchmark, target),
-    from disk when possible: one decode of the stored trace drives every
-    configuration through a shared scoreboard and deduplicated memory
-    automatons ({!Repro_trace.Replay.Upipelines}).  The unit of work
-    {!Pool} schedules for stall studies.  [?map] fans the trace's chunks
-    out across domains, like {!ensure_grid}'s. *)
-
-val ensure_fused :
-  ?map:Repro_trace.Replay.map ->
-  string ->
-  Repro_core.Target.t ->
-  unit
-(** Populate the standard cache grid {e and} the standard pipeline-model
-    sweep for one (benchmark, target) in a single {!Repro_trace.Replay.Fused}
-    pass: one decode of the stored trace feeds all 25 grid geometries plus
-    every sweep configuration's automaton simultaneously.  Results are
-    byte-equal to {!ensure_grid} + {!ensure_uarch} (same memo tables, same
-    disk entries) — only the decode and traversal are shared.  Axes already
-    complete (memo or disk) are skipped; if both are warm this is free. *)
+(** Populate the standard sweeps one (benchmark, target) needs: the cache
+    grid ({!standard_grid}) when [grid], the pipeline-model sweep
+    ({!standard_uarch_configs}) when [uarch].  A sweep already complete in
+    memory or stored on disk is skipped; whatever is still cold comes from
+    one {!Repro_trace.Replay.run} of the stored trace, so both sweeps
+    share a decode.  Each sweep has its own disk entry ({!grid_key},
+    {!uarch_sweep_key}), whichever call filled it.  The unit of work
+    {!Pool} schedules for cache and stall studies.  [?map] lets a caller
+    spread the trace's chunks across domains (pass [Pool.map ~jobs] or
+    [Pool.map ~pool]); the default is sequential.  This module cannot
+    depend on {!Pool} — injection keeps the dependency one-way. *)
 
 val fusion : string -> Repro_core.Target.t -> Repro_isavar.Fusion.counters
 (** Macro-op fusion counters ({!Repro_isavar.Fusion.default_rules}) for

@@ -94,7 +94,7 @@ let exec_group t g () =
            g.g_cells)
     in
     if List.length kinds > 1 || List.mem Plan.Fused kinds then
-      Runs.ensure_fused g.g_bench g.g_target;
+      Runs.ensure_sweeps ~grid:true ~uarch:true g.g_bench g.g_target;
     List.map
       (fun (c : cell) ->
         match c.spec with

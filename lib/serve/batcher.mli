@@ -10,10 +10,11 @@
       receive the one result.
     - {b window batching}: batchable sweeps (grid/uarch/fused) for the
       same (benchmark, target) that arrive within [window_ms] of each
-      other merge into one group, executed as a single
-      {!Repro_harness.Runs.ensure_fused} pass — one trace decode serves
-      every request in the group, and each request's results are
-      byte-equal to a directly-run plan (equal {!Digests.of_spec}).
+      other merge into one group.  A group that mixes kinds or holds a
+      fused request runs one {!Repro_harness.Runs.ensure_sweeps} call
+      with both axes — one trace decode serves every request in the
+      group — and each request's results are byte-equal to a
+      directly-run plan (equal {!Digests.of_spec}).
     - {b bounded queue with load shedding}: at most [max_queue] jobs may
       be pending-or-executing; past that, submission fails fast with
       [Busy].  {!await} never blocks past its deadline — an unfinished

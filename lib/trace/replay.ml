@@ -166,8 +166,8 @@ end
    classes, reconciled by boundary-fetch cancellation or the cache's
    prefix log) and the scoreboard (bounded-horizon convergence).  A
    configuration list mixing [Cmem] and [Cscore] entries is exactly the
-   fused cross-product sweep; every public entry point below is a thin
-   projection of this engine's carries. *)
+   fused cross-product sweep, and {!run} below projects this engine's
+   carries onto the axes of its spec. *)
 
 module Engine = struct
   type cfg =
@@ -261,182 +261,111 @@ module E = Chunked (Engine)
 type chunk_result = E.chunk_result
 type map = (int -> chunk_result) -> int list -> chunk_result list
 
-(* Memory-behaviour classes for the axes the memory-system studies sweep:
-   the wait states / miss penalty are irrelevant to the counters, so any
-   priced value works as a key carrier — 0 keeps the smart constructors
-   happy. *)
-let nocache_key ~bus_bytes = Mem.key (Uconfig.nocache ~bus_bytes ~wait_states:0)
+type cache_pair = { icache : Memsys.cache_config; dcache : Memsys.cache_config }
 
-let cached_key ~icache ~dcache =
-  Mem.key (Uconfig.cached ~icache ~dcache ~miss_penalty:0)
+type spec = {
+  buses : int list;
+  caches : cache_pair list;
+  pipelines : Uconfig.t list;
+}
 
-let mem_carry = function
-  | Engine.Kmem c -> c
-  | Engine.Kscore _ -> assert false
+type result = {
+  nocaches : Memsys.nocache list;
+  cacheds : Memsys.cached list;
+  pipes : Pipeline.result list;
+}
 
-let nocache ?map rd ~bus_bytes =
-  let cfg =
-    Engine.Cmem
-      { key = nocache_key ~bus_bytes;
-        insn_bytes = Trace.Reader.insn_bytes rd }
-  in
-  Mem.nocache_counters (mem_carry (E.run ?map rd [| cfg |]).(0))
+let empty = { buses = []; caches = []; pipelines = [] }
 
-let cached ?map ~icache ~dcache rd =
-  let cfg =
-    Engine.Cmem
-      { key = cached_key ~icache ~dcache;
-        insn_bytes = Trace.Reader.insn_bytes rd }
-  in
-  Mem.cached_counters (mem_carry (E.run ?map rd [| cfg |]).(0))
+(* Memory-behaviour classes for the bus and cache axes: the wait states /
+   miss penalty are irrelevant to the counters, so any priced value works
+   as a key carrier — 0 keeps the smart constructors happy. *)
+let nocache_key bus_bytes = Mem.key (Uconfig.nocache ~bus_bytes ~wait_states:0)
 
-module Grid = struct
-  type spec = { icache : Memsys.cache_config; dcache : Memsys.cache_config }
-
-  let run ?map rd (specs : spec list) =
-    let insn_bytes = Trace.Reader.insn_bytes rd in
-    let cfgs =
-      Array.of_list
-        (List.map
-           (fun (s : spec) ->
-             Engine.Cmem
-               { key = cached_key ~icache:s.icache ~dcache:s.dcache; insn_bytes })
-           specs)
-    in
-    Array.to_list
-      (Array.map (fun c -> Mem.cached_counters (mem_carry c)) (E.run ?map rd cfgs))
-end
+let cached_key (p : cache_pair) =
+  Mem.key (Uconfig.cached ~icache:p.icache ~dcache:p.dcache ~miss_penalty:0)
 
 (* Distinct memory-behaviour classes in first-appearance order, plus each
-   configuration's class index.  The scoreboard is shared by ALL
-   configurations (interlocks depend only on the instruction stream), so
-   a sweep runs one scoreboard automaton plus one memory automaton per
-   distinct class — the standard ten-configuration sweep needs four, not
-   ten. *)
+   item's class index.  A sweep runs one memory automaton per distinct
+   class — the standard ten-configuration pipeline sweep needs four, not
+   ten — and a pipeline configuration whose class also appears as a bus
+   or cache pair shares that automaton. *)
 let dedup_keys keys =
-  let seen = ref [] in
+  let seen = ref [] and n = ref 0 in
   let of_item =
     List.map
       (fun k ->
         match List.assoc_opt k !seen with
         | Some j -> j
         | None ->
-          let j = List.length !seen in
+          let j = !n in
           seen := (k, j) :: !seen;
+          incr n;
           j)
       keys
   in
-  let arr = Array.make (max (List.length !seen) 1) (nocache_key ~bus_bytes:4) in
-  List.iter (fun (k, j) -> arr.(j) <- k) !seen;
-  (Array.sub arr 0 (List.length !seen), Array.of_list of_item)
+  (Array.of_list (List.rev_map fst !seen), Array.of_list of_item)
 
-(* Scoreboard-first configuration layout shared by Upipelines and Fused:
-   index 0 is the (optional) scoreboard, memory classes follow in key
-   order. *)
-let run_fused ?map rd ?score keys =
-  let insn_bytes = Trace.Reader.insn_bytes rd in
-  let score_cfgs =
-    match score with
-    | Some (img, descs) -> [| Engine.Cscore { img; descs } |]
-    | None -> [||]
-  in
-  let cfgs =
-    Array.append score_cfgs
-      (Array.map (fun key -> Engine.Cmem { key; insn_bytes }) keys)
-  in
-  let carries = E.run ?map rd cfgs in
-  let base = Array.length score_cfgs in
-  let interlocks =
-    if base = 0 then None
-    else
-      match carries.(0) with
-      | Engine.Kscore { sb; _ } ->
-        Some
-          ( Scoreboard.clock sb,
-            Scoreboard.load_stalls sb,
-            Scoreboard.fp_stalls sb )
-      | Engine.Kmem _ -> assert false
-  in
-  (interlocks, fun j -> mem_carry carries.(base + j))
+let mem_carry = function
+  | Engine.Kmem c -> c
+  | Engine.Kscore _ -> assert false
 
-module Upipelines = struct
-  let run ?map rd cfgs (img : Link.image) =
-    if cfgs = [] then []
-    else begin
-      let descs = Predecode.table img in
-      let keys, of_cfg = dedup_keys (List.map Mem.key cfgs) in
-      let interlocks, carry_of =
-        run_fused ?map rd ~score:(img, descs) keys
-      in
-      let interlock_clock, load_interlocks, fp_interlocks =
-        Option.get interlocks
-      in
-      let ic = Trace.Reader.n_records rd in
-      List.mapi
-        (fun j cfg ->
-          Mem.charge (carry_of of_cfg.(j)) cfg ~ic ~interlock_clock
-            ~load_interlocks ~fp_interlocks)
-        cfgs
-    end
-end
-
-module Fused = struct
-  type spec = {
-    buses : int list;
-    caches : Grid.spec list;
-    pipelines : Uconfig.t list;
-  }
-
-  type result = {
-    nocaches : Memsys.nocache list;
-    cacheds : Memsys.cached list;
-    pipes : Pipeline.result list;
-  }
-
-  let run ?map ?img rd (spec : spec) =
-    let score =
+let run ?map ?img rd spec =
+  match spec with
+  | { buses = []; caches = []; pipelines = [] } ->
+    { nocaches = []; cacheds = []; pipes = [] }
+  | _ ->
+    (* The scoreboard, when pipelines are asked for, is configuration 0
+       and shared by all of them (interlocks depend only on the
+       instruction stream); memory classes follow in key order. *)
+    let score_cfgs =
       match (spec.pipelines, img) with
-      | [], _ -> None
-      | _ :: _, Some img -> Some (img, Predecode.table img)
+      | [], _ -> [||]
+      | _ :: _, Some img ->
+        [| Engine.Cscore { img; descs = Predecode.table img } |]
       | _ :: _, None ->
-        invalid_arg "Replay.Fused.run: pipeline configurations need ~img"
+        invalid_arg "Replay.run: pipeline configurations need ~img"
     in
-    (* One key list across every axis: a pipeline configuration whose
-       memory class also appears as a bus or geometry axis shares its
-       automaton. *)
-    let bus_keys = List.map (fun bus -> nocache_key ~bus_bytes:bus) spec.buses in
-    let cache_keys =
-      List.map
-        (fun (s : Grid.spec) -> cached_key ~icache:s.icache ~dcache:s.dcache)
-        spec.caches
+    let keys, of_item =
+      dedup_keys
+        (List.map nocache_key spec.buses
+        @ List.map cached_key spec.caches
+        @ List.map Mem.key spec.pipelines)
     in
-    let pipe_keys = List.map Mem.key spec.pipelines in
-    let keys, of_item = dedup_keys (bus_keys @ cache_keys @ pipe_keys) in
-    let interlocks, carry_of = run_fused ?map rd ?score keys in
+    let insn_bytes = Trace.Reader.insn_bytes rd in
+    let carries =
+      E.run ?map rd
+        (Array.append score_cfgs
+           (Array.map (fun key -> Engine.Cmem { key; insn_bytes }) keys))
+    in
+    let base = Array.length score_cfgs in
+    let carry_of i = mem_carry carries.(base + of_item.(i)) in
     let nb = List.length spec.buses in
     let nc = List.length spec.caches in
-    let nocaches =
-      List.mapi (fun i _ -> Mem.nocache_counters (carry_of of_item.(i))) spec.buses
-    in
-    let cacheds =
-      List.mapi
-        (fun i _ -> Mem.cached_counters (carry_of of_item.(nb + i)))
-        spec.caches
-    in
     let pipes =
-      match interlocks with
-      | None -> []
-      | Some (interlock_clock, load_interlocks, fp_interlocks) ->
-        let ic = Trace.Reader.n_records rd in
-        List.mapi
-          (fun i cfg ->
-            Mem.charge
-              (carry_of of_item.(nb + nc + i))
-              cfg ~ic ~interlock_clock ~load_interlocks ~fp_interlocks)
-          spec.pipelines
+      if base = 0 then []
+      else
+        match carries.(0) with
+        | Engine.Kscore { sb; _ } ->
+          let ic = Trace.Reader.n_records rd in
+          List.mapi
+            (fun i cfg ->
+              Mem.charge (carry_of (nb + nc + i)) cfg ~ic
+                ~interlock_clock:(Scoreboard.clock sb)
+                ~load_interlocks:(Scoreboard.load_stalls sb)
+                ~fp_interlocks:(Scoreboard.fp_stalls sb))
+            spec.pipelines
+        | Engine.Kmem _ -> assert false
     in
-    { nocaches; cacheds; pipes }
-end
+    {
+      nocaches =
+        List.mapi (fun i _ -> Mem.nocache_counters (carry_of i)) spec.buses;
+      cacheds =
+        List.mapi
+          (fun i _ -> Mem.cached_counters (carry_of (nb + i)))
+          spec.caches;
+      pipes;
+    }
 
 (* Reference implementations: the plain sequential per-record loops the
    chunk engines replaced, kept as independent baselines for the

@@ -1,14 +1,18 @@
 (** Trace-driven replay: the memory-system models and the cycle-accurate
     pipeline, fed from a {!Trace.Reader} instead of a live execution.
 
-    Replays are exactly equal to their direct-execution counterparts
+    One entry point, {!run}, replays a stored trace against any mix of
+    bus widths, split I/D cache geometries and full pipeline
+    configurations from one decode.  Its results are exactly equal to
+    their direct-execution counterparts
     ({!Repro_sim.Memsys.replay_nocache}, [replay_cached], and
-    {!Repro_uarch.Uarch} runs) — the differential suite in [test/t_trace.ml]
-    gates on byte-identical counters.
+    {!Repro_uarch.Uarch} runs) — the differential suite in
+    [test/t_trace.ml] gates on byte-identical counters.
 
     {1 The chunk-parallel framework}
 
-    Every replay engine here is one instance of the same recipe:
+    {!run} drives one automaton through the same recipe any engine
+    built on this framework follows:
 
     + {b decode} each trace chunk once into flat arrays ({!Decoded}),
       shared by every automaton fed from that chunk;
@@ -37,9 +41,10 @@
     the first access decides, the rest are guaranteed hits.
 
     Decoded chunks are cached (a small MRU over recently-replayed
-    readers, lock-free per-chunk slots), so a multi-engine sweep — or a
-    parallel replay fanning the same chunks out repeatedly — decodes the
-    varint stream once, not once per engine. *)
+    readers, lock-free per-chunk slots), so passes that revisit a trace
+    (the fusion counters after a sweep, or a parallel replay fanning the
+    same chunks out repeatedly) decode the varint stream once, not once
+    per pass. *)
 module Decoded : sig
   type t = {
     pcs : int array;  (** Every record's fetch address, in order. *)
@@ -136,92 +141,65 @@ module Chunked (A : Automaton) : sig
 end
 
 type chunk_result
-(** One chunk's summaries for the built-in engines below ({!nocache},
-    {!cached}, {!Grid}, {!Upipelines}, {!Fused} all run the same unified
-    automaton, so their [?map] arguments share this type and one
-    scheduler hook serves every engine). *)
+(** One chunk's summaries under the unified automaton {!run} drives. *)
 
 type map = (int -> chunk_result) -> int list -> chunk_result list
-(** The scheduler hook: how per-chunk work is distributed. *)
+(** The scheduler hook for {!run}: how per-chunk work is distributed
+    (default [List.map]; pass [Repro_harness.Pool.map ~pool] or [~jobs]
+    to fan chunks out across domains). *)
 
-val nocache : ?map:map -> Trace.Reader.t -> bus_bytes:int -> Repro_sim.Memsys.nocache
-(** Fetch-buffer and data bus-transaction counts for one bus width.
-    Field-for-field equal to {!Repro_sim.Memsys.replay_nocache}. *)
+(** {1 The replay engine} *)
 
-val cached :
+type cache_pair = {
+  icache : Repro_sim.Memsys.cache_config;
+  dcache : Repro_sim.Memsys.cache_config;
+}
+(** One split I/D cache geometry. *)
+
+type spec = {
+  buses : int list;  (** Cacheless fetch/data bus widths, in bytes. *)
+  caches : cache_pair list;  (** Split I/D geometry pairs. *)
+  pipelines : Repro_uarch.Uconfig.t list;
+      (** Full pipeline configurations; require [?img]. *)
+}
+(** The axes of one sweep.  Any of them may be empty. *)
+
+val empty : spec
+(** No axis at all: [{ empty with caches = [ pair ] }] is a one-geometry
+    replay. *)
+
+type result = {
+  nocaches : Repro_sim.Memsys.nocache list;  (** Per bus, in order. *)
+  cacheds : Repro_sim.Memsys.cached list;  (** Per geometry pair, in order. *)
+  pipes : Repro_uarch.Pipeline.result list;
+      (** Per pipeline configuration, in order. *)
+}
+
+val run :
   ?map:map ->
-  icache:Repro_sim.Memsys.cache_config ->
-  dcache:Repro_sim.Memsys.cache_config ->
+  ?img:Repro_link.Link.image ->
   Trace.Reader.t ->
-  Repro_sim.Memsys.cached
-(** Split I/D cache replay; instruction fetch width comes from the trace
-    header.  Field-for-field equal to {!Repro_sim.Memsys.replay_cached}. *)
+  spec ->
+  result
+(** Replay the trace against every axis of [spec] from one decode per
+    chunk.  Memory automatons are deduplicated by behaviour class across
+    the axes — a pipeline configuration whose memory behaviour also
+    appears as a bus or a cache pair shares one automaton — and the
+    scoreboard (needed only when [spec.pipelines] is nonempty) runs once
+    for every pipeline configuration, since interlocks depend only on the
+    instruction stream.
 
-(** Single-pass cache grid: one decode feeds every geometry.  Results are
-    byte-equal to one {!cached} pass per geometry — the differential
-    suite gates on it. *)
-module Grid : sig
-  type spec = {
-    icache : Repro_sim.Memsys.cache_config;
-    dcache : Repro_sim.Memsys.cache_config;
-  }
+    Each sub-result is byte-equal to direct execution:
+    {!Repro_sim.Memsys.replay_nocache} per bus,
+    {!Repro_sim.Memsys.replay_cached} per pair (instruction fetch width
+    comes from the trace header), and a {!Repro_uarch.Uarch} run per
+    pipeline configuration.  The differential suite gates on it.
 
-  val run :
-    ?map:map ->
-    Trace.Reader.t ->
-    spec list ->
-    Repro_sim.Memsys.cached list
-end
+    An empty spec returns empty lists without touching the reader.
 
-(** Single-pass pipeline-timing grid: one decode feeds every
-    configuration through a shared {!Repro_uarch.Scoreboard} automaton
-    (interlocks depend only on the instruction stream) plus one
-    {!Repro_uarch.Pipeline.Mem} automaton per distinct memory-behaviour
-    class.  Results are integer-equal to per-configuration
-    {!Repro_uarch.Uarch} runs — the differential suite gates on it. *)
-module Upipelines : sig
-  val run :
-    ?map:map ->
-    Trace.Reader.t ->
-    Repro_uarch.Uconfig.t list ->
-    Repro_link.Link.image ->
-    Repro_uarch.Pipeline.result list
-  (** Every configuration's pipeline result, in configuration order. *)
-end
-
-(** The fused cross-product engine: one decode per stored trace feeds
-    bus widths x cache geometries x full pipeline configurations
-    simultaneously.  Memory automatons are deduplicated by behaviour
-    class {e across} the axes — a pipeline configuration whose cache
-    pair also appears in [caches] shares one automaton pair — and the
-    scoreboard (needed only when [pipelines] is nonempty) runs once.
-    Each sub-result is byte-equal to what the dedicated engine above
-    returns for the same axis. *)
-module Fused : sig
-  type spec = {
-    buses : int list;  (** Cacheless fetch/data bus widths, in bytes. *)
-    caches : Grid.spec list;  (** Split I/D geometry pairs. *)
-    pipelines : Repro_uarch.Uconfig.t list;
-        (** Full pipeline configurations; require [?img]. *)
-  }
-
-  type result = {
-    nocaches : Repro_sim.Memsys.nocache list;  (** Per bus, in order. *)
-    cacheds : Repro_sim.Memsys.cached list;  (** Per geometry pair, in order. *)
-    pipes : Repro_uarch.Pipeline.result list;
-        (** Per pipeline configuration, in order. *)
-  }
-
-  val run :
-    ?map:map ->
-    ?img:Repro_link.Link.image ->
-    Trace.Reader.t ->
-    spec ->
-    result
-  (** @raise Invalid_argument if [spec.pipelines] is nonempty and no
+    @raise Invalid_argument if [spec.pipelines] is nonempty and no
       [?img] was given (the pipeline model needs the image's instruction
       descriptors). *)
-end
 
 (** Reference implementations: the plain sequential per-record loops the
     chunk engines replaced.  They share nothing with the {!Chunked}

@@ -180,7 +180,7 @@ module Mem = struct
      whenever the bus is at least granule-sized — alignment is irrelevant.
      Cached: the whole [addr, addr + insn_bytes) span is accessed, so the
      trace must be granule-aligned and the sub-block at least
-     granule-sized (the same gate as [Replay.Grid]).  Both classes also
+     granule-sized.  Both classes also
      need the trace granule-aligned so a wide (marked) fetch never leaks
      into the next granule; traces without wide marks are always
      granule-aligned, so the extra conjunct changes nothing for them. *)

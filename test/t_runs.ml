@@ -41,7 +41,36 @@ let test_disk_roundtrip () =
       Alcotest.(check int) "ic" cold.Runs.ic warm.Runs.ic;
       Alcotest.(check int) "size" cold.Runs.size_bytes warm.Runs.size_bytes;
       Alcotest.(check int) "interlocks" cold.Runs.interlocks warm.Runs.interlocks;
-      Alcotest.(check string) "output" cold.Runs.output warm.Runs.output)
+      Alcotest.(check string) "output" cold.Runs.output warm.Runs.output;
+      (* Each sweep kind replays only its own axes: a grid spec must not
+         pay for the pipeline sweep, and a fused spec over two warm
+         sweeps looks nothing up. *)
+      let execute w =
+        match Plan.spec_of_string w with
+        | Ok s -> Plan.execute s
+        | Error e -> Alcotest.fail e
+      in
+      let grid_stored () =
+        (Diskcache.find (Runs.grid_key "queens" Target.d16)
+          : ((int * int * int) * Memsys.cached) list option)
+        <> None
+      in
+      let sweep_stored () =
+        (Diskcache.find (Runs.uarch_sweep_key "queens" Target.d16)
+          : (string * Repro_uarch.Pipeline.result) list option)
+        <> None
+      in
+      execute "grid:queens:d16";
+      Alcotest.(check bool) "grid spec stores the grid" true (grid_stored ());
+      Alcotest.(check bool) "grid spec leaves the sweep cold" false
+        (sweep_stored ());
+      execute "uarch:queens:d16";
+      Alcotest.(check bool) "uarch spec stores the sweep" true
+        (sweep_stored ());
+      let misses = Diskcache.miss_count () in
+      execute "fused:queens:d16";
+      Alcotest.(check int) "fused spec over warm sweeps misses nothing"
+        misses (Diskcache.miss_count ()))
 
 let test_store_find () =
   with_temp_cache (fun () ->

@@ -148,30 +148,24 @@ let test_scratch_growth () =
    reconciliation boundaries, and a sub-block smaller than a word.
    Sequential and chunk-parallel grid replay must both equal N
    independent per-geometry replays. *)
-let grid_spec (size, block, sub) =
+let cache_pair (size, block, sub) =
   let cfg = Memsys.cache_config ~size ~block ~sub in
-  { Replay.Grid.icache = cfg; dcache = cfg }
+  { Replay.icache = cfg; dcache = cfg }
+
+let seq_cached rd (p : Replay.cache_pair) =
+  Replay.Seq.cached ~icache:p.Replay.icache ~dcache:p.Replay.dcache rd
 
 let grid_equals_cached rd geometries ~jobs =
-  let specs = List.map grid_spec geometries in
+  let caches = List.map cache_pair geometries in
   (* The expectation comes from the plain per-record reference loop
      ([Replay.Seq]), which shares nothing with the chunked framework. *)
-  let expect =
-    List.map
-      (fun (s : Replay.Grid.spec) ->
-        Replay.Seq.cached ~icache:s.Replay.Grid.icache
-          ~dcache:s.Replay.Grid.dcache rd)
-      specs
+  let expect = List.map (seq_cached rd) caches in
+  let cacheds ?map caches =
+    (Replay.run ?map rd { Replay.empty with caches }).Replay.cacheds
   in
-  let single =
-    List.map
-      (fun (s : Replay.Grid.spec) ->
-        Replay.cached ~icache:s.Replay.Grid.icache ~dcache:s.Replay.Grid.dcache
-          rd)
-      specs
-  in
-  let seq = Replay.Grid.run rd specs in
-  let par = Replay.Grid.run ~map:(fun f xs -> Pool.map ~jobs f xs) rd specs in
+  let single = List.concat_map (fun p -> cacheds [ p ]) caches in
+  let seq = cacheds caches in
+  let par = cacheds ~map:(fun f xs -> Pool.map ~jobs f xs) caches in
   (seq = expect && single = expect, par = expect)
 
 let synthetic_grid =
@@ -210,6 +204,7 @@ let synthetic_upipelines =
        Uconfig.cached ~icache:c ~dcache:c ~miss_penalty:8);
     ]
   in
+  let all_axis_geos = [ (256, 16, 2); (1024, 32, 4); (64, 8, 8) ] in
   QCheck.Test.make
     ~name:"pipeline grid equals sequential replay on synthetic traces"
     ~count:25
@@ -229,13 +224,34 @@ let synthetic_upipelines =
                   records path
               in
               let expect = Replay.Seq.pipelines rd cfgs img in
-              let seq = Replay.Upipelines.run rd cfgs img in
-              let par =
-                Replay.Upipelines.run
-                  ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
-                  rd cfgs img
+              let run ?map spec = Replay.run ?map ~img rd spec in
+              let par = Some (fun f xs -> Pool.map ~jobs:3 f xs) in
+              (* Pipelines alone, and every axis at once: the caches
+                 include both cached configurations' pairs, so those
+                 automatons are shared between two axes. *)
+              let pipes_only = { Replay.empty with pipelines = cfgs } in
+              let all_axes =
+                {
+                  Replay.buses = [ 2; 8 ];
+                  caches = List.map cache_pair all_axis_geos;
+                  pipelines = cfgs;
+                }
               in
-              seq = expect && par = expect))
+              let all_expect =
+                {
+                  Replay.nocaches =
+                    List.map
+                      (fun bus -> Replay.Seq.nocache rd ~bus_bytes:bus)
+                      all_axes.Replay.buses;
+                  cacheds = List.map (seq_cached rd) all_axes.Replay.caches;
+                  pipes = expect;
+                }
+              in
+              List.for_all
+                (fun map ->
+                  (run ?map pipes_only).Replay.pipes = expect
+                  && run ?map all_axes = all_expect)
+                [ None; par ]))
         (Lazy.force images))
 
 (* The Chunked functor itself, on a synthetic automaton with no
@@ -541,6 +557,14 @@ let test_corruption () =
         (match Reader.iter rd (fun ~pc:_ ~dinfo:_ -> ()) with
         | () -> Alcotest.fail "full iteration over damaged trace succeeded"
         | exception Reader.Corrupt _ -> ());
+        (* An empty replay spec asks for nothing, so it must not decode
+           (and trip over) the damaged chunk; one bus must. *)
+        Alcotest.(check bool) "empty spec replays nothing" true
+          (Replay.run rd Replay.empty
+          = { Replay.nocaches = []; cacheds = []; pipes = [] });
+        (match Replay.run rd { Replay.empty with buses = [ 4 ] } with
+        | _ -> Alcotest.fail "one-bus replay over damaged trace succeeded"
+        | exception Reader.Corrupt _ -> ());
         match Reader.verify rd with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "verify passed a damaged payload");
@@ -613,12 +637,13 @@ let differential bench (t : Target.t) =
         (fun bus ->
           let direct = Memsys.replay_nocache ~bus_bytes:bus r in
           let reference = Replay.Seq.nocache rd ~bus_bytes:bus in
-          let seq = Replay.nocache rd ~bus_bytes:bus in
-          let par =
-            Replay.nocache
-              ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
-              rd ~bus_bytes:bus
+          let nocache ?map () =
+            List.hd
+              (Replay.run ?map rd { Replay.empty with buses = [ bus ] })
+                .Replay.nocaches
           in
+          let seq = nocache () in
+          let par = nocache ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
           Alcotest.(check int)
             (name "bus=%d ireq ref" bus)
             direct.Memsys.irequests reference.Memsys.irequests;
@@ -648,7 +673,15 @@ let differential bench (t : Target.t) =
               ~insn_bytes:(Target.insn_bytes t)
               ~icache:cfg ~dcache:cfg r
           in
-          let replayed = Replay.cached ~icache:cfg ~dcache:cfg rd in
+          let replayed =
+            List.hd
+              (Replay.run rd
+                 {
+                   Replay.empty with
+                   caches = [ cache_pair (size, block, sub) ];
+                 })
+                .Replay.cacheds
+          in
           let geo = Printf.sprintf "%d/%d/%d" size block sub in
           Alcotest.(check bool) (name "%s cached equal" geo) true
             (direct = replayed);
@@ -661,11 +694,14 @@ let differential bench (t : Target.t) =
          chunk-parallel both equal to independent per-geometry replays.
          The list stresses the automaton's edges: sub == block (whole-block
          fills), a single-set cache, a sub-block smaller than a word
-         (raw i-stream path), and tiny blocks. *)
+         (raw i-stream path), and tiny blocks.  The last two are the
+         standard sweep's cache pairs, so in the all-axis run below they
+         share their automatons with pipeline configurations. *)
       let grid_geos =
         [
           (1024, 32, 4); (4096, 64, 8); (1024, 32, 32); (64, 64, 8);
-          (64, 64, 64); (128, 8, 4); (64, 4, 2);
+          (64, 64, 64); (128, 8, 4); (64, 4, 2); (4096, 32, 4);
+          (16384, 32, 4);
         ]
       in
       let seq_ok, par_ok = grid_equals_cached rd grid_geos ~jobs:3 in
@@ -677,11 +713,12 @@ let differential bench (t : Target.t) =
       let cfgs = Runs.standard_uarch_configs in
       let _, streamed = Uarch.run_many cfgs img in
       let replayed = Replay.Seq.pipelines rd cfgs img in
-      let useq = Replay.Upipelines.run rd cfgs img in
-      let upar =
-        Replay.Upipelines.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) rd cfgs
-          img
+      let pipes ?map () =
+        (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
+          .Replay.pipes
       in
+      let useq = pipes () in
+      let upar = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
       List.iteri
         (fun i (s : Pipeline.result) ->
           let d = Uconfig.describe (List.nth cfgs i) in
@@ -699,52 +736,50 @@ let differential bench (t : Target.t) =
           against "grid seq" (List.nth useq i);
           against "grid par" (List.nth upar i))
         streamed;
-      (* Fused engine: one decode feeding every axis at once — each
-         sub-result byte-equal to direct execution / the reference loops,
-         sequential and chunk-parallel. *)
-      let fspec =
+      (* Every axis at once from one decode: each sub-result byte-equal
+         to direct execution / the reference loops, sequential and
+         chunk-parallel. *)
+      let spec =
         {
-          Replay.Fused.buses = [ 4; 8 ];
-          caches = List.map grid_spec grid_geos;
+          Replay.buses = [ 4; 8 ];
+          caches = List.map cache_pair grid_geos;
           pipelines = cfgs;
         }
       in
-      let check_fused what (f : Replay.Fused.result) =
+      let check_all what (f : Replay.result) =
         List.iter2
           (fun bus nc ->
             Alcotest.(check bool)
-              (name "fused %s bus=%d" what bus)
+              (name "all-axis %s bus=%d" what bus)
               true
               (nc = Memsys.replay_nocache ~bus_bytes:bus r))
-          fspec.Replay.Fused.buses f.Replay.Fused.nocaches;
+          spec.Replay.buses f.Replay.nocaches;
         List.iter2
-          (fun (s : Replay.Grid.spec) c ->
+          (fun p c ->
             Alcotest.(check bool)
-              (name "fused %s cached" what)
+              (name "all-axis %s cached" what)
               true
-              (c
-              = Replay.Seq.cached ~icache:s.Replay.Grid.icache
-                  ~dcache:s.Replay.Grid.dcache rd))
-          fspec.Replay.Fused.caches f.Replay.Fused.cacheds;
+              (c = seq_cached rd p))
+          spec.Replay.caches f.Replay.cacheds;
         List.iteri
           (fun i (p : Pipeline.result) ->
             let s = List.nth streamed i in
             Alcotest.(check string)
-              (name "fused %s pipe %d stalls" what i)
+              (name "all-axis %s pipe %d stalls" what i)
               (Stalls.to_string s.Pipeline.stalls)
               (Stalls.to_string p.Pipeline.stalls);
             Alcotest.(check bool)
-              (name "fused %s pipe %d caches" what i)
+              (name "all-axis %s pipe %d caches" what i)
               true
               (s.Pipeline.caches = p.Pipeline.caches))
-          f.Replay.Fused.pipes
+          f.Replay.pipes
       in
-      check_fused "seq" (Replay.Fused.run ~img rd fspec);
-      check_fused "par"
-        (Replay.Fused.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) ~img rd fspec);
-      (match Replay.Fused.run rd { fspec with Replay.Fused.buses = [ 4 ] } with
+      check_all "seq" (Replay.run ~img rd spec);
+      check_all "par"
+        (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) ~img rd spec);
+      (match Replay.run rd { spec with Replay.buses = [ 4 ] } with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail (name "Fused.run without ~img accepted")))
+      | _ -> Alcotest.fail (name "Replay.run without ~img accepted")))
 
 (* Two domains capture the same path at the same moment, many rounds
    over: each writes its own temp file, the last rename wins, and the

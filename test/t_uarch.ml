@@ -306,7 +306,7 @@ let test_predecode_shared () =
   Alcotest.(check bool) "distinct images, distinct tables" true
     (Predecode.table img' != Predecode.table img)
 
-(* The multi-config grid engine against the streamed run, with chunks far
+(* Replay.run's pipeline axis against the streamed run, with chunks far
    smaller than production (77 records — boundaries land everywhere,
    including mid-drain) and configurations beyond the standard sweep that
    force the raw i-stream paths (2-byte bus, sub-word sub-blocks). *)
@@ -343,12 +343,12 @@ let test_grid_equals_streamed () =
             | Error e -> Alcotest.fail e
           in
           let _, streamed = Uarch.run_many cfgs img in
-          let seq = Replay.Upipelines.run rd cfgs img in
-          let par =
-            Replay.Upipelines.run
-              ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
-              rd cfgs img
+          let pipes ?map () =
+            (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
+              .Replay.pipes
           in
+          let seq = pipes () in
+          let par = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
           List.iteri
             (fun i (s : Pipeline.result) ->
               let d = t.Target.name ^ " " ^ Uconfig.describe (List.nth cfgs i) in
@@ -364,35 +364,7 @@ let test_grid_equals_streamed () =
               in
               against "grid seq" (List.nth seq i);
               against "grid par" (List.nth par i))
-            streamed;
-          (* The fused engine on a pipelines-only spec is the same sweep
-             through the cross-product path — equally exact, sequential
-             and chunk-parallel, on the same adversarial chunks. *)
-          let fspec =
-            { Replay.Fused.buses = []; caches = []; pipelines = cfgs }
-          in
-          let check_fused what (f : Replay.Fused.result) =
-            List.iteri
-              (fun i (s : Pipeline.result) ->
-                let p = List.nth f.Replay.Fused.pipes i in
-                let d =
-                  t.Target.name ^ " " ^ Uconfig.describe (List.nth cfgs i)
-                in
-                Alcotest.(check string)
-                  (d ^ " " ^ what ^ " stalls")
-                  (Stalls.to_string s.Pipeline.stalls)
-                  (Stalls.to_string p.Pipeline.stalls);
-                Alcotest.(check bool)
-                  (d ^ " " ^ what ^ " caches")
-                  true
-                  (s.Pipeline.caches = p.Pipeline.caches))
-              streamed
-          in
-          check_fused "fused seq" (Replay.Fused.run ~img rd fspec);
-          check_fused "fused par"
-            (Replay.Fused.run
-               ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
-               ~img rd fspec)))
+            streamed))
     [ Target.d16; Target.dlxe ]
 
 let test_config_validation () =
