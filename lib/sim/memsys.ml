@@ -38,6 +38,32 @@ module Fetchbuf = struct
       true
     end
 
+  (* A run lies in one bus block when the bus is at least the events'
+     granule, so only an event's first fetch can go to memory; a wide
+     straddle fetches both halfwords. *)
+  let fetch_events b events ~count_bits =
+    let bus_bytes = b.bus_bytes in
+    let block = ref b.block in
+    let requests = ref b.requests in
+    for k = 0 to Array.length events - 1 do
+      let pc = Array.unsafe_get events k lsr count_bits in
+      let addr = pc land lnot 1 in
+      let first = addr / bus_bytes in
+      if first <> !block then begin
+        block := first;
+        incr requests
+      end;
+      if pc land 1 <> 0 then begin
+        let tail = (addr + 2) / bus_bytes in
+        if tail <> !block then begin
+          block := tail;
+          incr requests
+        end
+      end
+    done;
+    b.block <- !block;
+    b.requests <- !requests
+
   let requests b = b.requests
   let last_block b = b.block
 end
@@ -74,6 +100,55 @@ let replay_nocache ~bus_bytes (r : Machine.result) =
 let nocache_cycles ~wait_states (r : Machine.result) nc =
   r.Machine.ic + r.Machine.interlocks
   + (wait_states * (nc.irequests + nc.drequests))
+
+(* Instruction-fetch events. -------------------------------------------------
+
+   A chunk's instruction stream reaches the chunk engines as an int array
+   of events.  Under [count_bits = k], word [w] is the traced pc [w lsr k]
+   (bit 0 the wide mark) followed by [w land (2^k - 1)] repeat fetches in
+   the same aligned granule; with [k = 0] the raw traced pcs are an event
+   array of one fetch per word. *)
+
+let fetch_event_bits = 8
+
+(* A fetch whose span lies in one aligned granule extends the open run
+   there (while the count field holds it) or opens a new run at its
+   wide-stripped pc; a fetch whose span crosses a granule boundary is a
+   straddle event of its own, at its traced pc, and closes the run.  The
+   count is stored minus one, so extending a run adds 1 to its word. *)
+let fetch_events ~insn_bytes ~granule pcs =
+  let shift = if granule = 8 then 3 else 2 in
+  let n = Array.length pcs in
+  let ev = Array.make (max n 1) 0 in
+  let m = ref 0 in
+  let run_g = ref (-1) in
+  let run_n = ref 0 in
+  let max_count = 1 lsl fetch_event_bits in
+  (* Nonzero iff some pc is negative or too wide to pack exactly. *)
+  let too_wide = ref 0 in
+  for k = 0 to n - 1 do
+    let pc = Array.unsafe_get pcs k in
+    too_wide := !too_wide lor (pc lsr (Sys.int_size - 1 - fetch_event_bits));
+    let addr = pc land lnot 1 in
+    let g = addr lsr shift in
+    if (addr + (if pc land 1 <> 0 then 4 else insn_bytes) - 1) lsr shift <> g
+    then begin
+      Array.unsafe_set ev !m (pc lsl fetch_event_bits);
+      incr m;
+      run_g := -1
+    end
+    else if g = !run_g && !run_n < max_count then begin
+      Array.unsafe_set ev (!m - 1) (Array.unsafe_get ev (!m - 1) + 1);
+      incr run_n
+    end
+    else begin
+      Array.unsafe_set ev !m (addr lsl fetch_event_bits);
+      incr m;
+      run_g := g;
+      run_n := 1
+    end
+  done;
+  if !too_wide <> 0 then [||] else Array.sub ev 0 !m
 
 (* Direct-mapped sub-blocked cache. ----------------------------------------- *)
 
@@ -127,10 +202,10 @@ module Cache = struct
 
   (* Flat bitset helpers (also used for the chunk engine's per-set and
      per-sub side bitsets). *)
-  let bit_is_set v i =
+  let[@inline] bit_is_set v i =
     Char.code (Bytes.unsafe_get v (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-  let set_bit v i =
+  let[@inline] set_bit v i =
     let byte = i lsr 3 in
     Bytes.unsafe_set v byte
       (Char.unsafe_chr
@@ -284,31 +359,15 @@ module Cache = struct
     au.log.(n + 2) <- w2;
     au.log_n <- n + 3
 
-  (* Cold-simulate one event, recording per-touch masks.  Touch k of the
-     event gets bit [1 lsl k] in: [need] (outcome depends on carried
-     state; merge recomputes), [miss] (cold miss), [f0]/[f1] (cold filled
-     the touched / the prefetched sub-block). *)
-  let chunk_access au ~is_read ~addr ~bytes =
+  (* Cold-simulate the part of one event the settled fast path below does
+     not cover (the access itself is counted by the caller), recording
+     per-touch masks.  Touch k of the event gets bit [1 lsl k] in: [need]
+     (outcome depends on carried state; merge recomputes), [miss] (cold
+     miss), [f0]/[f1] (cold filled the touched / the prefetched
+     sub-block). *)
+  let chunk_touch au ~is_read ~addr ~bytes g0 g1 =
     let c = au.a in
     let sp = au.asp in
-    if is_read then sp.racc <- sp.racc + 1 else sp.wacc <- sp.wacc + 1;
-    let g0 = addr lsr c.sub_shift in
-    let g1 = (addr + bytes - 1) lsr c.sub_shift in
-    (* Settled fast path: one sub-block, already directly touched, tag and
-       valid bit in place — a hit with no state change in both the cold
-       and the true world, so neither counters (beyond the access) nor the
-       log move. *)
-    if
-      g0 = g1
-      &&
-      let block = g0 lsr c.sub_bits in
-      let set = block land c.set_mask in
-      let bit = (set lsl c.sub_bits) lor (g0 land c.sub_mask) in
-      Array.unsafe_get c.tags set = block
-      && bit_is_set c.valid bit
-      && bit_is_set au.direct bit
-    then ()
-    else begin
     let need = ref 0 in
     let miss = ref 0 in
     let f0 = ref 0 in
@@ -364,33 +423,87 @@ module Cache = struct
         ((addr lsl 5) lor (bytes lsl 1) lor (if is_read then 1 else 0))
         (!need lor (!miss lsl 16))
         (!f0 lor (!f1 lsl 16))
-    end
 
-  (* The hot instruction-stream entry: a run of [count] consecutive reads
-     inside the 4-byte granule at [addr].  Requires sub_block_bytes >= 4,
-     so the run lies in one sub-block: the first access decides, the rest
-     are hits in both cold and true worlds (the first touch validates the
-     bit and pins the tag, and nothing else touches this cache in
-     between). *)
-  let chunk_iread_run au ~addr ~count =
+  (* Settled: sub-block [gs] has its tag and valid bit in place, and its
+     set is pinned ([known]) or the sub-block was already touched directly
+     this chunk — a touch is a hit with no state change in both the cold
+     and the true world.  An access whose one or two sub-blocks are all
+     settled moves neither counters (beyond the access) nor the log. *)
+  let[@inline] settled ~tags ~valid ~direct ~known ~sub_bits ~set_mask
+      ~sub_mask gs =
+    let block = gs lsr sub_bits in
+    let set = block land set_mask in
+    let bit = (set lsl sub_bits) lor (gs land sub_mask) in
+    Array.unsafe_get tags set = block
+    && bit_is_set valid bit
+    && (bit_is_set direct bit || bit_is_set known set)
+
+  let[@inline] settled_span ~tags ~valid ~direct ~known ~sub_bits ~set_mask
+      ~sub_mask g0 g1 =
+    settled ~tags ~valid ~direct ~known ~sub_bits ~set_mask ~sub_mask g0
+    && (g1 = g0
+       || g1 = g0 + 1
+          && settled ~tags ~valid ~direct ~known ~sub_bits ~set_mask ~sub_mask
+               g1)
+
+  (* The instruction stream of one chunk, as fetch events (see
+     {!fetch_event_bits}).  An event's first fetch is a full access; its
+     repeats lie in the same sub-block (the builder only forms runs inside
+     one aligned granule no larger than the sub-block), so after the first
+     touch validated the bit and pinned the tag they are hits in both
+     worlds and only count.  The geometry is hoisted out of the loop and
+     the read count accumulates locally. *)
+  let chunk_fetch_events au events ~count_bits ~insn_bytes =
     let c = au.a in
+    let tags = c.tags and valid = c.valid in
+    let direct = au.direct and known = au.known in
+    let sub_shift = c.sub_shift and sub_bits = c.sub_bits in
+    let set_mask = c.set_mask and sub_mask = c.sub_mask in
+    let repeat_mask = (1 lsl count_bits) - 1 in
+    let reads = ref 0 in
+    for k = 0 to Array.length events - 1 do
+      let w = Array.unsafe_get events k in
+      let pc = w lsr count_bits in
+      reads := !reads + 1 + (w land repeat_mask);
+      (* Bit 0 of a traced pc marks a wide (4-byte) instruction. *)
+      let addr = pc land lnot 1 in
+      let bytes = if pc land 1 <> 0 then 4 else insn_bytes in
+      let g0 = addr lsr sub_shift in
+      let g1 = (addr + bytes - 1) lsr sub_shift in
+      if
+        not
+          (settled_span ~tags ~valid ~direct ~known ~sub_bits ~set_mask
+             ~sub_mask g0 g1)
+      then chunk_touch au ~is_read:true ~addr ~bytes g0 g1
+    done;
+    au.asp.racc <- au.asp.racc + !reads
+
+  (* The data stream of one chunk: nonzero packed records
+     [(addr lsl 5) lor (bytes lsl 1) lor is_write], same loop shape. *)
+  let chunk_data au dinfos =
+    let c = au.a in
+    let tags = c.tags and valid = c.valid in
+    let direct = au.direct and known = au.known in
+    let sub_shift = c.sub_shift and sub_bits = c.sub_bits in
+    let set_mask = c.set_mask and sub_mask = c.sub_mask in
+    let writes = ref 0 in
+    for k = 0 to Array.length dinfos - 1 do
+      let d = Array.unsafe_get dinfos k in
+      let is_write = d land 1 in
+      writes := !writes + is_write;
+      let bytes = (d lsr 1) land 0xF in
+      let addr = d lsr 5 in
+      let g0 = addr lsr sub_shift in
+      let g1 = (addr + bytes - 1) lsr sub_shift in
+      if
+        not
+          (settled_span ~tags ~valid ~direct ~known ~sub_bits ~set_mask
+             ~sub_mask g0 g1)
+      then chunk_touch au ~is_read:(is_write = 0) ~addr ~bytes g0 g1
+    done;
     let sp = au.asp in
-    sp.racc <- sp.racc + count;
-    let gs = addr lsr c.sub_shift in
-    let block = gs lsr c.sub_bits in
-    let set = block land c.set_mask in
-    let sub = gs land c.sub_mask in
-    let base = set lsl c.sub_bits in
-    let bit = base lor sub in
-    if
-      Array.unsafe_get c.tags set = block
-      && bit_is_set c.valid bit
-      && (bit_is_set au.direct bit || bit_is_set au.known set)
-    then () (* settled hit: no counters beyond accesses, no log *)
-    else begin
-      sp.racc <- sp.racc - 1;
-      chunk_access au ~is_read:true ~addr ~bytes:1
-    end
+    sp.wacc <- sp.wacc + !writes;
+    sp.racc <- sp.racc + Array.length dinfos - !writes
 
   type summary = {
     s_sp : split;

@@ -29,6 +29,29 @@ type cache_stats = {
 
 val miss_rate : cache_stats -> float
 
+(** {1 Instruction-fetch events}
+
+    The chunk engines take a chunk's instruction stream as an int array
+    of {e fetch events}.  Under [count_bits = k], word [w] is the traced
+    pc [w lsr k] (bit 0 the wide mark, as in the trace) followed by
+    [w land (2^k - 1)] repeat fetches.  A repeat lies in the same aligned
+    granule as its event's first fetch, so an automaton whose outcome is
+    constant across that granule replays the whole run in one step.
+    Packed events use [k = fetch_event_bits]; a straddle (one fetch whose
+    span crosses a granule boundary) is its traced pc with no repeats.
+    With [k = 0] the raw traced pcs are an event array, one fetch per
+    word. *)
+
+val fetch_event_bits : int
+(** Repeat-count bits of a packed event (8): one event stands for at most
+    256 fetches, and a longer run is split. *)
+
+val fetch_events : insn_bytes:int -> granule:int -> int array -> int array
+(** The packed fetch events of a chunk's traced pcs at [granule] bytes (4
+    or 8; [insn_bytes] sizes an unmarked fetch).  Empty when some pc does
+    not pack exactly (negative, or not below [2^(Sys.int_size - 9)]: 2^54
+    on a 64-bit host); the chunk then replays from its raw pcs. *)
+
 (** The single-access cache model the replays (and the {!Repro_uarch}
     cycle-accurate pipeline) are built on: direct-mapped, sub-block valid
     bits, wrap-around prefetch of the following sub-block on read misses,
@@ -64,14 +87,21 @@ module Cache : sig
 
   val chunk_start : cache_config -> auto
 
-  val chunk_access : auto -> is_read:bool -> addr:int -> bytes:int -> unit
-  (** Cold-simulate one access event of the chunk's slice, in order. *)
+  val chunk_fetch_events :
+    auto -> int array -> count_bits:int -> insn_bytes:int -> unit
+  (** Cold-simulate the chunk's instruction reads, given as fetch events
+      under [count_bits] (see {!fetch_event_bits}; [insn_bytes] sizes an
+      unmarked fetch).  Each event's first fetch is one full access of
+      its span, so a straddle event, or any raw pc ([count_bits = 0]),
+      takes the complete path; its repeats only count.  That is exact
+      when every run lies inside one sub-block, i.e. when the events were
+      built at a granule no larger than [sub_block_bytes]: the first
+      access decides hit or miss, and the repeats are hits in both the
+      cold and the true world. *)
 
-  val chunk_iread_run : auto -> addr:int -> count:int -> unit
-  (** [count] consecutive instruction reads inside the 4-byte granule at
-      [addr] (which must be 4-byte aligned): the first access decides
-      hit/miss, the rest are guaranteed hits.  Only valid when
-      [sub_block_bytes >= 4], so the granule lies in one sub-block. *)
+  val chunk_data : auto -> int array -> unit
+  (** Cold-simulate the chunk's data accesses: its nonzero packed records
+      [(addr lsl 5) lor (bytes lsl 1) lor is_write], in order. *)
 
   type summary
   (** Immutable chunk result: cold counters, prefix log, and the cold end
@@ -111,6 +141,12 @@ module Fetchbuf : sig
 
   val fetch : t -> addr:int -> bool
   (** Whether the fetch went to memory (address outside the buffer). *)
+
+  val fetch_events : t -> int array -> count_bits:int -> unit
+  (** Fetch a chunk's instruction stream, given as fetch events under
+      [count_bits] (see {!fetch_event_bits}).  Exact when the events were
+      built at a granule no larger than the bus, so a run lies in one bus
+      block and only its first fetch can miss the buffer. *)
 
   val requests : t -> int
 

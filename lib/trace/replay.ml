@@ -25,9 +25,8 @@ module Decoded = struct
   type t = {
     pcs : int array;  (* every record's fetch address, in order *)
     dinfos : int array;  (* the nonzero packed data records, in order *)
-    gran : int array;  (* run-length compressed i-stream: 4-byte granules *)
-    cnt : int array;
-    aligned : bool;  (* no fetch straddles a granule *)
+    ev4 : int array;  (* fetch events at 4-byte granules *)
+    ev8 : int array;  (* fetch events at 8-byte granules *)
     insn_bytes : int;
   }
 
@@ -35,39 +34,35 @@ module Decoded = struct
     let insn_bytes = Trace.Reader.insn_bytes rd in
     let info = Trace.Reader.chunk rd i in
     let n = info.Trace.Reader.n_records in
-    let gran = Array.make (max n 1) 0 in
-    let cnt = Array.make (max n 1) 0 in
     let pcs = Array.make (max n 1) 0 in
     let dinfos = Array.make (max n 1) 0 in
-    let ng = ref 0 in
     let nd = ref 0 in
     let np = ref 0 in
-    let prev = ref min_int in
-    let aligned = ref true in
     Trace.Reader.iter_chunk rd i (fun ~pc ~dinfo ->
         pcs.(!np) <- pc;
         incr np;
-        if pc land 3 + insn_bytes > 4 then aligned := false;
-        let g = pc lsr 2 in
-        if g = !prev then cnt.(!ng - 1) <- cnt.(!ng - 1) + 1
-        else begin
-          gran.(!ng) <- g;
-          cnt.(!ng) <- 1;
-          incr ng;
-          prev := g
-        end;
         if dinfo <> 0 then begin
           dinfos.(!nd) <- dinfo;
           incr nd
         end);
+    let pcs = Array.sub pcs 0 !np in
     {
-      pcs = Array.sub pcs 0 !np;
+      pcs;
       dinfos = Array.sub dinfos 0 !nd;
-      gran = Array.sub gran 0 !ng;
-      cnt = Array.sub cnt 0 !ng;
-      aligned = !aligned;
+      ev4 = Memsys.fetch_events ~insn_bytes ~granule:4 pcs;
+      ev8 = Memsys.fetch_events ~insn_bytes ~granule:8 pcs;
       insn_bytes;
     }
+
+  (* The i-stream to replay at a fetch-event granule, with its count
+     bits: the packed events at 4 or 8 bytes, else (or when the chunk's
+     pcs do not pack) the raw pcs. *)
+  let fetches d ~granule =
+    let packed =
+      if granule = 8 then d.ev8 else if granule = 4 then d.ev4 else [||]
+    in
+    if Array.length packed > 0 then (packed, Memsys.fetch_event_bits)
+    else (d.pcs, 0)
 
   let cache_readers = 4
   let cache_lock = Mutex.create ()
@@ -175,7 +170,7 @@ module Engine = struct
     | Cscore of { img : Link.image; descs : Predecode.desc array }
 
   type auto =
-    | Amem of { a : Mem.auto; key : Mem.key }
+    | Amem of { a : Mem.auto; granule : int }
     | Ascore of {
         ch : Scoreboard.chunk;
         img : Link.image;
@@ -191,7 +186,9 @@ module Engine = struct
     | Kscore of { sb : Scoreboard.t; descs : Predecode.desc array }
 
   let chunk_start = function
-    | Cmem { key; insn_bytes } -> Amem { a = Mem.chunk_start ~insn_bytes key; key }
+    | Cmem { key; insn_bytes } ->
+      Amem
+        { a = Mem.chunk_start ~insn_bytes key; granule = Mem.event_bytes key }
     | Cscore { img; descs } ->
       let t = img.Link.target in
       Ascore
@@ -203,25 +200,9 @@ module Engine = struct
 
   let step a (d : Decoded.t) =
     match a with
-    | Amem { a; key } ->
-      (if Mem.fetch_run_ok ~aligned:d.Decoded.aligned key then begin
-         let gran = d.Decoded.gran and cnt = d.Decoded.cnt in
-         for k = 0 to Array.length gran - 1 do
-           Mem.fetch_run a
-             ~addr:(Array.unsafe_get gran k lsl 2)
-             ~count:(Array.unsafe_get cnt k)
-         done
-       end
-       else begin
-         let pcs = d.Decoded.pcs in
-         for k = 0 to Array.length pcs - 1 do
-           Mem.fetch a ~addr:(Array.unsafe_get pcs k)
-         done
-       end);
-      let dinfos = d.Decoded.dinfos in
-      for k = 0 to Array.length dinfos - 1 do
-        Mem.data a ~dinfo:(Array.unsafe_get dinfos k)
-      done
+    | Amem { a; granule } ->
+      let events, count_bits = Decoded.fetches d ~granule in
+      Mem.step a events ~count_bits ~dinfos:d.Decoded.dinfos
     | Ascore { ch; img; descs } ->
       let pcs = d.Decoded.pcs in
       for k = 0 to Array.length pcs - 1 do

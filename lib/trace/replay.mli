@@ -33,12 +33,17 @@
 
 (** One trace chunk decoded into flat arrays, shared by every automaton.
 
-    The i-stream is additionally run-length compressed at 4-byte
-    granularity: consecutive fetches inside the same granule become one
-    event plus a repeat count, which any automaton whose hit/miss outcome
-    is constant across a granule (cache sub-blocks >= 4 bytes on aligned
-    traces; any fetch buffer with a bus >= 4 bytes) replays in one step —
-    the first access decides, the rest are guaranteed hits.
+    Besides the raw pcs, the i-stream is decoded twice more as
+    {e fetch events} ({!Repro_sim.Memsys.fetch_event_bits}), at 4- and at
+    8-byte granules.  A run of consecutive fetches whose spans all lie
+    inside one aligned granule becomes one event (its first pc, wide mark
+    stripped, plus a repeat count); a fetch whose span crosses a granule
+    boundary (a wide D16m fetch at [pc mod 4 = 2], say) is a
+    {e straddle} event of its own at its traced pc.  Every trace gets
+    both arrays.  An automaton whose outcome is constant across a granule
+    (a cache sub-block or a fetch-buffer bus block at least that wide)
+    replays a run in one step: the first fetch decides, the rest are
+    hits.
 
     Decoded chunks are cached (a small MRU over recently-replayed
     readers, lock-free per-chunk slots), so passes that revisit a trace
@@ -49,9 +54,10 @@ module Decoded : sig
   type t = {
     pcs : int array;  (** Every record's fetch address, in order. *)
     dinfos : int array;  (** The nonzero packed data records, in order. *)
-    gran : int array;  (** Run-length compressed i-stream: 4-byte granules. *)
-    cnt : int array;  (** Repeat count per granule run. *)
-    aligned : bool;  (** No fetch straddles a granule. *)
+    ev4 : int array;
+        (** Fetch events at 4-byte granules; empty when some pc of the
+            chunk does not pack ({!Repro_sim.Memsys.fetch_events}). *)
+    ev8 : int array;  (** Fetch events at 8-byte granules; likewise. *)
     insn_bytes : int;
   }
 

@@ -174,19 +174,18 @@ module Mem = struct
     | Uconfig.Nocache { bus_bytes; _ } -> Knocache { bus_bytes }
     | Uconfig.Cached { icache; dcache; _ } -> Kcached { icache; dcache }
 
-  (* Whether a run of consecutive fetches inside one 4-byte granule may be
-     fed as a single event plus a count.  Cacheless: only the start
-     address matters (block = addr / bus), and a granule lies in one block
-     whenever the bus is at least granule-sized — alignment is irrelevant.
-     Cached: the whole [addr, addr + insn_bytes) span is accessed, so the
-     trace must be granule-aligned and the sub-block at least
-     granule-sized.  Both classes also
-     need the trace granule-aligned so a wide (marked) fetch never leaks
-     into the next granule; traces without wide marks are always
-     granule-aligned, so the extra conjunct changes nothing for them. *)
-  let fetch_run_ok ~aligned = function
-    | Knocache { bus_bytes } -> aligned && bus_bytes >= 4
-    | Kcached { icache; _ } -> aligned && icache.Memsys.sub_block_bytes >= 4
+  (* The fetch-event granule a key replays from (see
+     {!Memsys.fetch_event_bits}): the largest of 8 and 4 bytes that fits in
+     one sub-block (cached) or one bus block (cacheless), so every run of
+     fetches inside one aligned granule lies in one sub-block or block and
+     its first fetch decides.  0: neither fits, replay the raw pcs. *)
+  let event_bytes key =
+    let unit =
+      match key with
+      | Knocache { bus_bytes } -> bus_bytes
+      | Kcached { icache; _ } -> icache.Memsys.sub_block_bytes
+    in
+    if unit >= 8 then 8 else if unit >= 4 then 4 else 0
 
   type auto =
     | Anocache of {
@@ -213,34 +212,34 @@ module Mem = struct
         { ia = Cache.chunk_start icache; da = Cache.chunk_start dcache;
           insn_bytes }
 
-  let fetch a ~addr =
-    let wide = addr land 1 <> 0 in
-    let addr = addr land lnot 1 in
+  (* One chunk into a fresh automaton: the instruction stream as fetch
+     events under [count_bits] (the raw pcs when 0), then the nonzero data
+     records.  Cacheless data traffic is state-free: a per-size table of
+     bus transactions. *)
+  let step a events ~count_bits ~dinfos =
     match a with
     | Anocache m ->
-      ignore (Fetchbuf.fetch m.buf ~addr);
-      if m.first_block < 0 then m.first_block <- addr / m.bus_bytes;
-      if wide then ignore (Fetchbuf.fetch m.buf ~addr:(addr + 2))
+      if Array.length events > 0 then
+        m.first_block <-
+          ((events.(0) lsr count_bits) land lnot 1) / m.bus_bytes;
+      Fetchbuf.fetch_events m.buf events ~count_bits;
+      let requests =
+        Array.init 16 (fun bytes ->
+            Memsys.data_requests ~bus_bytes:m.bus_bytes ~bytes)
+      in
+      let dread = ref 0 and dwrite = ref 0 in
+      for k = 0 to Array.length dinfos - 1 do
+        let dinfo = Array.unsafe_get dinfos k in
+        let r = Array.unsafe_get requests ((dinfo lsr 1) land 0xF) in
+        if dinfo land 1 = 1 then dwrite := !dwrite + r
+        else dread := !dread + r
+      done;
+      m.dread <- m.dread + !dread;
+      m.dwrite <- m.dwrite + !dwrite
     | Acached m ->
-      Cache.chunk_access m.ia ~is_read:true ~addr
-        ~bytes:(if wide then 4 else m.insn_bytes)
-
-  let fetch_run a ~addr ~count =
-    match a with
-    | Anocache _ -> fetch a ~addr  (* one block: the first fetch decides *)
-    | Acached m -> Cache.chunk_iread_run m.ia ~addr ~count
-
-  let data a ~dinfo =
-    let is_write = dinfo land 1 = 1 in
-    let bytes = (dinfo lsr 1) land 0xF in
-    match a with
-    | Anocache m ->
-      let requests = Memsys.data_requests ~bus_bytes:m.bus_bytes ~bytes in
-      if is_write then m.dwrite <- m.dwrite + requests
-      else m.dread <- m.dread + requests
-    | Acached m ->
-      Cache.chunk_access m.da ~is_read:(not is_write) ~addr:(dinfo lsr 5)
-        ~bytes
+      Cache.chunk_fetch_events m.ia events ~count_bits
+        ~insn_bytes:m.insn_bytes;
+      Cache.chunk_data m.da dinfos
 
   type summary =
     | Snocache of {

@@ -42,7 +42,7 @@ val result : t -> result
     penalty merely scales the miss counts) — so a multi-configuration
     sweep deduplicates its memory automatons by {!Mem.key} and scales at
     {!Mem.charge} time.  Chunks are simulated cold in parallel
-    ({!Mem.chunk_start}/{!Mem.fetch}/{!Mem.data}) and reconciled exactly
+    ({!Mem.chunk_start}/{!Mem.step}) and reconciled exactly
     by a sequential {!Mem.absorb} pass: the fetch buffer's only
     boundary-sensitive event is the chunk's first fetch, and the caches
     reuse {!Repro_sim.Memsys.Cache}'s prefix-log reconciliation. *)
@@ -53,25 +53,23 @@ module Mem : sig
 
   val key : Uconfig.t -> key
 
-  val fetch_run_ok : aligned:bool -> key -> bool
-  (** Whether consecutive fetches inside one 4-byte granule may be fed as
-      a single {!fetch_run} event ([aligned]: no fetch in the trace
-      straddles a granule).  Cacheless machines only need the bus to be at
-      least granule-sized; caches also need granule-aligned spans and
-      sub-blocks at least granule-sized. *)
+  val event_bytes : key -> int
+  (** The fetch-event granule the key replays from: 8 or 4 when that many
+      bytes fit in one cache sub-block (cached) or one bus block
+      (cacheless), else 0 for the raw traced pcs.  A run of fetches inside
+      one aligned granule then lies in one sub-block or block, so its
+      first fetch decides and the rest only count. *)
 
   type auto
   (** One chunk's cold memory automaton. *)
 
   val chunk_start : insn_bytes:int -> key -> auto
-  val fetch : auto -> addr:int -> unit
 
-  val fetch_run : auto -> addr:int -> count:int -> unit
-  (** [count] consecutive fetches inside the (4-byte-aligned) granule at
-      [addr]; only valid when {!fetch_run_ok} holds for the key. *)
-
-  val data : auto -> dinfo:int -> unit
-  (** One packed nonzero data-access record. *)
+  val step : auto -> int array -> count_bits:int -> dinfos:int array -> unit
+  (** Replay one chunk into a fresh automaton: its instruction stream as
+      fetch events under [count_bits] ({!Repro_sim.Memsys.fetch_event_bits}
+      for events built at {!event_bytes}, 0 for the raw traced pcs), then
+      its nonzero packed data records, in order. *)
 
   type summary
 

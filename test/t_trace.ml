@@ -180,6 +180,120 @@ let synthetic_grid =
           let seq_ok, par_ok = grid_equals_cached rd geometries ~jobs:3 in
           seq_ok && par_ok))
 
+(* The fetch-event builder's edges ({!Replay.Decoded}): wide-marked
+   fetches at every pc mod 8, so runs straddle both the 4- and the 8-byte
+   granule; non-wide unaligned pcs (on the 4-byte trace they straddle
+   too); runs longer than one packed event holds; pcs at and above 2^42;
+   and one region of pcs that does not pack at all, so those chunks
+   replay from the raw pcs.  Data records cycle through sizes, reads and
+   writes.  Every axis — sub-blocks of 2/4/8/16 bytes, buses of 2/4/8 —
+   must equal the reference loops, sequential and chunk-parallel, at
+   chunk sizes of 1, 7 and 512 records. *)
+let event_edge_records =
+  let high = 1 lsl 42 in
+  let unpackable = 1 lsl 55 in
+  let long_run = (1 lsl Memsys.fetch_event_bits) + 90 in
+  let dinfo i =
+    if i mod 3 = 0 then 0
+    else
+      let bytes = List.nth [ 1; 2; 4; 8 ] (i mod 4) in
+      (((i * 52) land 0xFFF) lsl 5) lor (bytes lsl 1) lor (i land 1)
+  in
+  let region base =
+    (* A straight line of 2-byte steps, every third fetch wide-marked:
+       the wide marks land on every address mod 8. *)
+    List.init 96 (fun i ->
+        let addr = base + (2 * i) in
+        if i mod 3 = 0 then addr lor 1 else addr)
+    (* A loop whose straddles are followed by jumps, so no later fetch
+       touches their tail: wide fetches across a 4-byte, an 8-byte and a
+       32-byte block boundary, and a non-wide one at [pc mod 4 = 2]. *)
+    @ List.concat
+        (List.init 20 (fun i ->
+             [ base + 0x100; (base + 0x106) lor 1; base + 0x140;
+               (base + 0x11e) lor 1; base + 0x15a; (base + 0x17a) lor 1;
+               base + 0x1c0 + (64 * (i mod 5)) ]))
+    (* One pc, and one granule's two halves alternating, for longer
+       than a packed event's count. *)
+    @ List.init long_run (fun _ -> base + 0x200)
+    @ List.init long_run (fun i ->
+          if i land 1 = 0 then base + 0x204 else base + 0x206)
+    (* Non-wide unaligned pcs and far jumps between granules. *)
+    @ List.init 64 (fun i -> base + 0x302 + (4 * ((i * 37) mod 29)))
+  in
+  List.mapi
+    (fun i pc -> (pc, dinfo i))
+    (region 0 @ region high @ region unpackable @ region 0x1000)
+
+(* Expand the packed events back into the fetch count they stand for. *)
+let event_total events =
+  Array.fold_left
+    (fun acc w ->
+      acc + 1 + (w land ((1 lsl Memsys.fetch_event_bits) - 1)))
+    0 events
+
+let test_fetch_events () =
+  let geometries =
+    [ (64, 16, 2); (128, 16, 4); (256, 32, 8); (512, 32, 16); (64, 16, 16);
+      (1024, 64, 8) ]
+  in
+  let spec =
+    {
+      Replay.buses = [ 2; 4; 8 ];
+      caches = List.map cache_pair geometries;
+      pipelines = [];
+    }
+  in
+  List.iter
+    (fun insn_bytes ->
+      List.iter
+        (fun chunk_records ->
+          with_temp (fun path ->
+              let label fmt =
+                Printf.ksprintf
+                  (fun s ->
+                    Printf.sprintf "insn_bytes=%d cr=%d %s" insn_bytes
+                      chunk_records s)
+                  fmt
+              in
+              let rd, _ =
+                roundtrip ~chunk_records ~insn_bytes event_edge_records path
+              in
+              (* Every packed chunk's events stand for exactly its
+                 records; the unpackable region leaves some chunk on the
+                 raw pcs. *)
+              let raw = ref 0 in
+              for i = 0 to Reader.n_chunks rd - 1 do
+                let d = Replay.Decoded.of_chunk rd i in
+                let n = Array.length d.Replay.Decoded.pcs in
+                if Array.length d.Replay.Decoded.ev4 = 0 then incr raw
+                else begin
+                  Alcotest.(check int) (label "chunk %d ev4 total" i) n
+                    (event_total d.Replay.Decoded.ev4);
+                  Alcotest.(check int) (label "chunk %d ev8 total" i) n
+                    (event_total d.Replay.Decoded.ev8)
+                end
+              done;
+              Alcotest.(check bool) (label "some chunk replays raw pcs") true
+                (!raw > 0);
+              let expect =
+                {
+                  Replay.nocaches =
+                    List.map
+                      (fun bus -> Replay.Seq.nocache rd ~bus_bytes:bus)
+                      spec.Replay.buses;
+                  cacheds = List.map (seq_cached rd) spec.Replay.caches;
+                  pipes = [];
+                }
+              in
+              Alcotest.(check bool) (label "sequential") true
+                (Replay.run rd spec = expect);
+              Alcotest.(check bool) (label "chunk-parallel") true
+                (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) rd spec
+                = expect)))
+        [ 1; 7; 512 ])
+    [ 2; 4 ]
+
 (* The pipeline grid on synthetic traces: pcs are real instruction
    addresses of a compiled image (so descriptors exist) but in arbitrary
    generated order, and the chunk length (5) sits below the scoreboard's
@@ -604,7 +718,19 @@ let test_unlink_while_mapped () =
 
 let cache_points = [ (1024, 32, 4, 8); (4096, 64, 8, 12) ]
 
-let differential bench (t : Target.t) =
+(* The grid geometries stress the automaton's edges: sub == block
+   (whole-block fills), a single-set cache, a sub-block smaller than a
+   word (raw i-stream path), and tiny blocks.  The last two are the
+   standard sweep's cache pairs, so in the all-axis run they share their
+   automatons with pipeline configurations. *)
+let grid_geos =
+  [
+    (1024, 32, 4); (4096, 64, 8); (1024, 32, 32); (64, 64, 8); (64, 64, 64);
+    (128, 8, 4); (64, 4, 2); (4096, 32, 4); (16384, 32, 4);
+  ]
+
+let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
+    (t : Target.t) =
   let src = (Suite.find bench).Suite.source in
   let img = Compile.compile t src in
   with_temp (fun path ->
@@ -662,7 +788,7 @@ let differential bench (t : Target.t) =
           Alcotest.(check int)
             (name "bus=%d dreq par" bus)
             direct.Memsys.drequests par.Memsys.drequests)
-        [ 4; 8 ];
+        buses;
       (* Cache replay: counters field-for-field, cycles via the paper's
          formula. *)
       List.iter
@@ -691,19 +817,7 @@ let differential bench (t : Target.t) =
             (Memsys.cached_cycles ~miss_penalty:penalty r replayed))
         cache_points;
       (* Grid engine: one decode feeding every geometry — sequential and
-         chunk-parallel both equal to independent per-geometry replays.
-         The list stresses the automaton's edges: sub == block (whole-block
-         fills), a single-set cache, a sub-block smaller than a word
-         (raw i-stream path), and tiny blocks.  The last two are the
-         standard sweep's cache pairs, so in the all-axis run below they
-         share their automatons with pipeline configurations. *)
-      let grid_geos =
-        [
-          (1024, 32, 4); (4096, 64, 8); (1024, 32, 32); (64, 64, 8);
-          (64, 64, 64); (128, 8, 4); (64, 4, 2); (4096, 32, 4);
-          (16384, 32, 4);
-        ]
-      in
+         chunk-parallel both equal to independent per-geometry replays. *)
       let seq_ok, par_ok = grid_equals_cached rd grid_geos ~jobs:3 in
       Alcotest.(check bool) (name "grid sequential equal") true seq_ok;
       Alcotest.(check bool) (name "grid parallel equal") true par_ok;
@@ -741,7 +855,7 @@ let differential bench (t : Target.t) =
          chunk-parallel. *)
       let spec =
         {
-          Replay.buses = [ 4; 8 ];
+          Replay.buses = buses;
           caches = List.map cache_pair grid_geos;
           pipelines = cfgs;
         }
@@ -841,6 +955,19 @@ let differential_case bench =
   Alcotest.test_case ("differential " ^ bench) `Slow (fun () ->
       List.iter (differential bench) [ Target.d16; Target.dlxe ])
 
+(* The mixed-width target on a bounded set of benchmarks: its wide fetches
+   at [pc mod 4 = 2] straddle a 4-byte granule and at [pc mod 8 = 6] an
+   8-byte one, so its fetch events interleave runs with straddle events.
+   A 2-byte bus and 16-byte sub-blocks join the axes so the raw-pc path
+   and both event granules all run against direct execution. *)
+let d16m_benches = [ "queens"; "towers"; "assem" ]
+
+let differential_d16m_case bench =
+  Alcotest.test_case ("differential d16m " ^ bench) `Slow (fun () ->
+      differential ~buses:[ 2; 4; 8 ]
+        ~grid_geos:(grid_geos @ [ (1024, 32, 16); (4096, 64, 16) ])
+        bench Target.d16m)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest synthetic_roundtrip;
@@ -848,6 +975,8 @@ let tests =
     Alcotest.test_case "exact flush boundaries" `Quick test_exact_flush_boundary;
     Alcotest.test_case "scratch growth" `Quick test_scratch_growth;
     QCheck_alcotest.to_alcotest synthetic_grid;
+    Alcotest.test_case "fetch events at granule edges" `Quick
+      test_fetch_events;
     QCheck_alcotest.to_alcotest synthetic_upipelines;
     QCheck_alcotest.to_alcotest synthetic_counter;
     Alcotest.test_case "compiled programs roundtrip" `Slow progfuzz_roundtrip;
@@ -863,3 +992,4 @@ let tests =
   @ List.map
       (fun (b : Suite.benchmark) -> differential_case b.Suite.name)
       Suite.all
+  @ List.map differential_d16m_case d16m_benches
