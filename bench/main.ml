@@ -1,6 +1,6 @@
 (* Benchmark harness: one Bechamel test per paper table/figure (the time to
    regenerate the artifact from the shared memoized runs), plus substrate
-   microbenchmarks (compilation, simulation, cache replay).
+   microbenchmarks (compilation, simulation, trace capture and replay).
 
    Before timing anything the harness populates the run cache and prints
    every regenerated artifact, so the run doubles as the reproduction
@@ -41,32 +41,16 @@ let substrate_tests =
       (Staged.stage (fun () -> ignore (Compile.compile Target.dlxe queens)));
     (let img = Compile.compile Target.d16 queens in
      Test.make ~name:"simulate:d16:queens"
-       (Staged.stage (fun () -> ignore (Machine.run ~trace:false img))));
-    (* Materializing the int-array trace in memory (the [~trace:true]
-       path): the known soft spot the chunked-rope ibuf fixes — CI
-       checks it stays within 1.3x of streaming capture. *)
-    (let img = Compile.compile Target.d16 queens in
-     Test.make ~name:"simulate:d16:trace"
-       (Staged.stage (fun () -> ignore (Machine.run ~trace:true img))));
+       (Staged.stage (fun () -> ignore (Machine.run img))));
     (* The retained reference interpreter, timed next to the threaded
        fast path: the capture-vs-simulate CI ratio is only meaningful if
        simulate:d16 itself does not quietly regress to this. *)
     (let img = Compile.compile Target.d16 queens in
      Test.make ~name:"simulate-ref:d16:queens"
-       (Staged.stage (fun () -> ignore (Machine.run_ref ~trace:false img))));
+       (Staged.stage (fun () -> ignore (Machine.run_ref img))));
     (let img = Compile.compile Target.dlxe queens in
      Test.make ~name:"simulate:dlxe:queens"
-       (Staged.stage (fun () -> ignore (Machine.run ~trace:false img))));
-    (let img = Compile.compile Target.d16 queens in
-     let r = Machine.run ~trace:true img in
-     Test.make ~name:"cache-replay:4K:queens"
-       (Staged.stage (fun () ->
-            let cfg = Memsys.cache_config ~size:4096 ~block:32 ~sub:4 in
-            ignore (Memsys.replay_cached ~insn_bytes:2 ~icache:cfg ~dcache:cfg r))));
-    (let img = Compile.compile Target.d16 queens in
-     let r = Machine.run ~trace:true img in
-     Test.make ~name:"fetch-replay:queens"
-       (Staged.stage (fun () -> ignore (Memsys.replay_nocache ~bus_bytes:4 r))));
+       (Staged.stage (fun () -> ignore (Machine.run img))));
     (* Raw checksum throughput over 1 MiB, the pair that justifies trace
        format v2: what a byte of bulk payload costs to guard. *)
     (let buf = Bytes.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xFF)) in
@@ -80,9 +64,8 @@ let substrate_tests =
   ]
 
 (* The trace substrate: what a capture costs on top of simulation, what a
-   replay costs instead of re-execution, and the headline comparison — a
-   cold four-configuration cache sweep done by re-running the machine per
-   result set versus replaying one stored trace. *)
+   replay costs instead of re-execution, and a cold four-configuration
+   cache sweep replayed from one stored trace (reopened per run). *)
 let trace_tests =
   let img = Compile.compile Target.d16 queens in
   (* Prefer tmpfs for the capture substrate: it tracks the hot-path
@@ -99,7 +82,7 @@ let trace_tests =
   let capture () =
     let w = Trace.Writer.create ~insn_bytes:2 path in
     let r =
-      Machine.run ~trace:false
+      Machine.run
         ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
         img
     in
@@ -195,14 +178,6 @@ let trace_tests =
                 ~map:(fun f xs -> Pool.map ~pool:(Lazy.force pool) f xs)
                 rd
                 { Replay.empty with buses = [ 4 ] })));
-    Test.make ~name:"sweep-direct:4cfg:queens"
-      (Staged.stage (fun () ->
-           let r = Machine.run ~trace:true img in
-           List.iter
-             (fun cfg ->
-               ignore
-                 (Memsys.replay_cached ~insn_bytes:2 ~icache:cfg ~dcache:cfg r))
-             sweep_cfgs));
     Test.make ~name:"sweep-replay:4cfg:queens"
       (Staged.stage (fun () ->
            match Trace.Reader.open_file path with
@@ -216,8 +191,6 @@ let trace_tests =
 
 let uarch_tests =
   let img = Compile.compile Target.d16 queens in
-  let r = Machine.run ~trace:true img in
-  let tr = Option.get r.Machine.trace in
   let nocache = Uconfig.nocache ~bus_bytes:4 ~wait_states:1 in
   let cached =
     let cfg = Memsys.cache_config ~size:4096 ~block:32 ~sub:4 in
@@ -235,10 +208,15 @@ let uarch_tests =
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   let w = Trace.Writer.create ~insn_bytes:2 path in
   ignore
-    (Machine.run ~trace:false
+    (Machine.run
        ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
        img);
   Trace.Writer.close w;
+  let rd =
+    match Trace.Reader.open_file path with
+    | Ok rd -> rd
+    | Error e -> failwith e
+  in
   let ucached size penalty =
     let cfg = Memsys.cache_config ~size ~block:32 ~sub:4 in
     Uconfig.cached ~icache:cfg ~dcache:cfg ~miss_penalty:penalty
@@ -289,10 +267,11 @@ let uarch_tests =
            })
   in
   [
+    (* The sequential oracle, one configuration per pass. *)
     Test.make ~name:"uarch-replay:nocache:queens"
-      (Staged.stage (fun () -> ignore (Uarch.replay nocache img tr)));
+      (Staged.stage (fun () -> ignore (Replay.Seq.pipelines rd [ nocache ] img)));
     Test.make ~name:"uarch-replay:4K:queens"
-      (Staged.stage (fun () -> ignore (Uarch.replay cached img tr)));
+      (Staged.stage (fun () -> ignore (Replay.Seq.pipelines rd [ cached ] img)));
     Test.make ~name:"uarch-stream:queens"
       (Staged.stage (fun () -> ignore (Uarch.run nocache img)));
     Test.make ~name:"uarch-grid:4cfg:queens" (Staged.stage (uarch_grid 4));
@@ -315,7 +294,7 @@ let isavar_tests =
     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
     let w = Trace.Writer.create ~insn_bytes:(Target.insn_bytes t) path in
     ignore
-      (Machine.run ~trace:false
+      (Machine.run
          ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
          img);
     Trace.Writer.close w;

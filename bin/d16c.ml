@@ -48,7 +48,7 @@ let run_one target source ~show_asm ~show_stats =
         print_string (Repro_codegen.Asm.fragment_to_string frag))
       u.L.funcs
   end;
-  let img, r = Repro_harness.Compile.compile_and_run ~trace:false target source in
+  let img, r = Repro_harness.Compile.compile_and_run target source in
   print_string r.Repro_sim.Machine.output;
   if show_stats then
     Printf.eprintf
@@ -440,7 +440,8 @@ let serve_cmd =
 (* fusion ---------------------------------------------------------------- *)
 
 (* The macro-op fusion accounting on D16, one line per benchmark: baseline
-   path length, dynamically fused pairs, and the fused op count.  Exits
+   path length, dynamically fused pairs, and the fused op count, counted
+   on the retired-instruction stream of one execution.  Exits
    nonzero unless fusion strictly shortens the path on every benchmark
    given (the CI advisory gate). *)
 let fusion_main benches =
@@ -463,9 +464,13 @@ let fusion_main benches =
         prerr_endline ("unknown benchmark " ^ bench);
         ok := false
       | Some source ->
-        let img, r = Repro_harness.Compile.compile_and_run ~trace:true t source in
-        let plan = Fusion.plan Fusion.default_rules img in
-        let c = Fusion.direct plan r in
+        let img = Repro_harness.Compile.compile t source in
+        let st = Fusion.stream_start (Fusion.plan Fusion.default_rules img) in
+        ignore
+          (Repro_sim.Machine.run
+             ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
+             img);
+        let c = Fusion.stream_finish st in
         let ops = Fusion.dynamic_ops c in
         Printf.printf "%-12s path=%9d fused=%8d ops=%9d (%.1f%% of baseline)\n%!"
           bench c.Fusion.ic c.Fusion.fused ops

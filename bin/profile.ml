@@ -41,7 +41,7 @@ let () =
           let i = Link.index_at img iaddr in
           counts.(i) <- counts.(i) + 1
         in
-        let r = Machine.run ~trace:false ~on_insn img in
+        let r = Machine.run ~on_insn img in
         let funcs =
           Hashtbl.fold (fun s a acc -> (a, s) :: acc) img.Link.symbols []
           |> List.sort compare

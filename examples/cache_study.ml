@@ -44,7 +44,7 @@ let () =
           Trace.Writer.create ~insn_bytes:(Target.insn_bytes target) path
         in
         let r =
-          Machine.run ~trace:false
+          Machine.run
             ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
             img
         in

@@ -23,7 +23,7 @@ let () =
   in
   Printf.printf "Feature attribution for '%s'\n\n" bench;
   let measure target =
-    let image, result = Compile.compile_and_run ~trace:false target source in
+    let image, result = Compile.compile_and_run target source in
     (Link.size_bytes image, result.Repro_sim.Machine.ic)
   in
   let rows =

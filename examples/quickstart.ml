@@ -28,7 +28,7 @@ let () =
   let results =
     List.map
       (fun target ->
-        let image, result = Compile.compile_and_run ~trace:false target program in
+        let image, result = Compile.compile_and_run target program in
         Printf.printf "--- %s ---\n" target.Target.name;
         print_string result.Repro_sim.Machine.output;
         Printf.printf

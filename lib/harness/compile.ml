@@ -63,7 +63,7 @@ let compile ?(optimize = 2) ?(ablation = no_ablation) ?(with_runtime = true)
       in
       Link.link target frags (u.Lower.data @ Irprep.fp_literal_data lits))
 
-let compile_and_run ?optimize ?ablation ?trace ?max_steps target source =
+let compile_and_run ?optimize ?ablation ?max_steps target source =
   let img = compile ?optimize ?ablation target source in
-  let result = Machine.run ?trace ?max_steps img in
+  let result = Machine.run ?max_steps img in
   (img, result)

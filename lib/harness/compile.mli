@@ -32,7 +32,6 @@ val compile :
 val compile_and_run :
   ?optimize:int ->
   ?ablation:ablation ->
-  ?trace:bool ->
   ?max_steps:int ->
   Repro_core.Target.t ->
   string ->

@@ -197,7 +197,7 @@ let compute_immediate_frequencies () =
         let i = Link.index_at img iaddr in
         if i >= 0 then counts.(i) <- counts.(i) + 1
       in
-      ignore (Machine.run ~trace:false ~on_insn img);
+      ignore (Machine.run ~on_insn img);
       Array.iteri
         (fun i n ->
           if n > 0 then begin
@@ -1114,7 +1114,7 @@ let compute_xtab1 () : (string * (string * float list) list) list =
         List.map
           (fun b ->
             let _, r =
-              Compile.compile_and_run ~trace:false t (Suite.find b).Suite.source
+              Compile.compile_and_run t (Suite.find b).Suite.source
             in
             (b, r.Machine.ic))
           ablation_programs
@@ -1126,7 +1126,7 @@ let compute_xtab1 () : (string * (string * float list) list) list =
               List.map
                 (fun (b, base_ic) ->
                   let _, r =
-                    Compile.compile_and_run ~ablation:ab ~trace:false t
+                    Compile.compile_and_run ~ablation:ab t
                       (Suite.find b).Suite.source
                   in
                   fl r.Machine.ic /. fl base_ic)

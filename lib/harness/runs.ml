@@ -204,7 +204,7 @@ let capture_trace bench (target : Target.t) path =
   let img = image bench target in
   let w = Trace.Writer.create ~insn_bytes:(Target.insn_bytes target) path in
   match
-    Machine.run ~trace:false
+    Machine.run
       ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
       img
   with
@@ -289,7 +289,7 @@ let compute_stats bench (target : Target.t) =
       c.dreq64 <- c.dreq64 + Memsys.data_requests ~bus_bytes:8 ~bytes
     end
   in
-  let r = Machine.run ~trace:false ~on_insn img in
+  let r = Machine.run ~on_insn img in
   {
     bench;
     target;

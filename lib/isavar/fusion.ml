@@ -1,7 +1,6 @@
 module Insn = Repro_core.Insn
 module Target = Repro_core.Target
 module Link = Repro_link.Link
-module Machine = Repro_sim.Machine
 module Predecode = Repro_uarch.Predecode
 module Scoreboard = Repro_uarch.Scoreboard
 module Pipeline = Repro_uarch.Pipeline
@@ -207,14 +206,6 @@ let stream_finish st =
     load_interlocks = Scoreboard.load_stalls st.sb;
     fp_interlocks = Scoreboard.fp_stalls st.sb;
   }
-
-let direct plan (r : Machine.result) =
-  match r.Machine.trace with
-  | None -> invalid_arg "Fusion.direct: result has no trace"
-  | Some t ->
-    let st = stream_start plan in
-    Array.iter (fun iaddr -> stream_step st ~iaddr) t.Machine.iaddr;
-    stream_finish st
 
 let replay plan rd =
   let st = stream_start plan in

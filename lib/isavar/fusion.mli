@@ -78,8 +78,10 @@ val dynamic_ops : counters -> int
 
 (** {1 Engines}
 
-    Three independent entry points over the same dynamic pairing,
-    gated byte-equal by the differential suite. *)
+    Two entry points over the same dynamic pairing: the live
+    {!Repro_sim.Machine.run} stream and a stored trace.  The differential
+    suite gates them byte-equal to each other and to an independent
+    greedy pairing written in the test. *)
 
 type stream
 (** Streaming engine state, fed from {!Repro_sim.Machine.run}'s
@@ -92,9 +94,6 @@ val stream_step : stream -> iaddr:int -> unit
 
 val stream_finish : stream -> counters
 (** Flush the pairing buffer and read the totals. *)
-
-val direct : plan -> Repro_sim.Machine.result -> counters
-(** Over an in-memory trace from a traced {!Repro_sim.Machine.run}. *)
 
 val replay : plan -> Repro_trace.Trace.Reader.t -> counters
 (** Over a stored trace, through the shared chunk-decode cache

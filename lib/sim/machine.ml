@@ -6,8 +6,6 @@ module Trapcode = Repro_core.Trapcode
 module Bitops = Repro_util.Bitops
 module Link = Repro_link.Link
 
-type trace = { iaddr : int array; dinfo : int array }
-
 let decode_daccess packed =
   if packed = 0 then None
   else Some (packed land 1 = 1, packed lsr 5, (packed lsr 1) land 0xF)
@@ -24,7 +22,6 @@ type result = {
   load_words : int;
   store_words : int;
   interlocks : int;
-  trace : trace option;
 }
 
 exception Runtime_error of string
@@ -37,51 +34,13 @@ let fp_latency_div = 8
 let fp_latency_cmp = 2
 let load_latency = 1
 
-(* Trace accumulator: a chunked rope of fixed-size blocks.  The earlier
-   growable array doubled with a full Array.blit, re-copying the whole
-   materialized trace O(log n) times and holding both halves live across
-   each growth; blocks never move, so a push is O(1) with no
-   copy-on-grow, and the one full pass is the final blit in
-   [ibuf_contents]. *)
-let ibuf_block = 65536
-
-type ibuf = {
-  mutable full : int array list;  (* filled blocks, newest first *)
-  mutable cur : int array;
-  mutable n : int;  (* fill of [cur] *)
-}
-
-let ibuf_make () = { full = []; cur = Array.make ibuf_block 0; n = 0 }
-
-let ibuf_push b v =
-  if b.n = ibuf_block then begin
-    b.full <- b.cur :: b.full;
-    b.cur <- Array.make ibuf_block 0;
-    b.n <- 0
-  end;
-  (* In bounds by the check above. *)
-  Array.unsafe_set b.cur b.n v;
-  b.n <- b.n + 1
-
-let ibuf_contents b =
-  let total = (List.length b.full * ibuf_block) + b.n in
-  let out = Array.make total 0 in
-  Array.blit b.cur 0 out (total - b.n) b.n;
-  let pos = ref (total - b.n) in
-  List.iter
-    (fun blk ->
-      pos := !pos - ibuf_block;
-      Array.blit blk 0 out !pos ibuf_block)
-    b.full;
-  out
-
 (* The reference interpreter: per-instruction match dispatch over the
    image's [Insn.t] array.  Retained verbatim as the differential oracle
    for the threaded interpreter below ([run] must produce identical trap
-   codes, counters, output, and traces — test/t_machine.ml gates on it);
-   it shares only the arithmetic helpers and the result type. *)
-let run_ref ?(trace = true) ?on_insn ?(max_steps = 400_000_000)
-    (img : Link.image) =
+   codes, counters, output and [on_insn] streams — test/t_machine.ml
+   gates on it); it shares only the arithmetic helpers and the result
+   type. *)
+let run_ref ?on_insn ?(max_steps = 400_000_000) (img : Link.image) =
   let t = img.Link.target in
   let zero_r0 = t.Target.zero_r0 in
   let insn_bytes = Target.insn_bytes t in
@@ -125,10 +84,8 @@ let run_ref ?(trace = true) ?on_insn ?(max_steps = 400_000_000)
   let ready_f = Array.make t.Target.n_fpr 0 in
   let ready_status = ref 0 in
   let status = ref 0 in
-  let tr_iaddr = if trace then Some (ibuf_make ()) else None in
-  let tr_dinfo = if trace then Some (ibuf_make ()) else None in
   let exit_code = ref None in
-  (* Current data access of the executing instruction, for the trace. *)
+  (* Current data access of the executing instruction, for [on_insn]. *)
   let cur_d = ref 0 in
 
   let stall_until r ready =
@@ -392,11 +349,6 @@ let run_ref ?(trace = true) ?on_insn ?(max_steps = 400_000_000)
        (match on_insn with
        | Some f -> f ~iaddr:taddr ~dinfo:!cur_d
        | None -> ());
-       (match (tr_iaddr, tr_dinfo) with
-       | Some ia, Some di ->
-         ibuf_push ia taddr;
-         ibuf_push di !cur_d
-       | _ -> ());
        if !just_branched then idx := !idx + 1
        else if !pending >= 0 then begin
          idx := !pending;
@@ -425,11 +377,6 @@ let run_ref ?(trace = true) ?on_insn ?(max_steps = 400_000_000)
     load_words = !load_words;
     store_words = !store_words;
     interlocks = !interlocks;
-    trace =
-      (match (tr_iaddr, tr_dinfo) with
-      | Some ia, Some di ->
-        Some { iaddr = ibuf_contents ia; dinfo = ibuf_contents di }
-      | _ -> None);
   }
 
 (* Threaded dispatch. --------------------------------------------------------
@@ -607,8 +554,7 @@ let dispatch (img : Link.image) =
           :: List.filteri (fun i _ -> i < dispatch_limit - 1) !dispatch_cache;
         d)
 
-let run ?(trace = true) ?on_insn ?(max_steps = 400_000_000) (img : Link.image)
-    =
+let run ?trace:_ ?on_insn ?(max_steps = 400_000_000) (img : Link.image) =
   let t = img.Link.target in
   let zero_r0 = t.Target.zero_r0 in
   let regs = Array.make t.Target.n_gpr 0 in
@@ -638,8 +584,6 @@ let run ?(trace = true) ?on_insn ?(max_steps = 400_000_000) (img : Link.image)
   let ready_f = Array.make t.Target.n_fpr 0 in
   let ready_status = ref 0 in
   let status = ref 0 in
-  let tr_iaddr = if trace then Some (ibuf_make ()) else None in
-  let tr_dinfo = if trace then Some (ibuf_make ()) else None in
   let running = ref true in
   let exit_code = ref 0 in
   let cur_d = ref 0 in
@@ -706,24 +650,15 @@ let run ?(trace = true) ?on_insn ?(max_steps = 400_000_000) (img : Link.image)
 
   (* The per-retirement sink is specialized once: the loop makes at most
      one indirect call per instruction instead of re-testing the option
-     configuration 2x per step — and none at all in the pure-simulation
-     configuration, where [emit_on] is false and the emit branch is a
-     never-taken compare. *)
+     per step — and none at all in the pure-simulation configuration,
+     where [emit_on] is false and the emit branch is a never-taken
+     compare. *)
   let emit =
-    match (on_insn, tr_iaddr, tr_dinfo) with
-    | Some f, Some ia, Some di ->
-      fun taddr dv ->
-        f ~iaddr:taddr ~dinfo:dv;
-        ibuf_push ia taddr;
-        ibuf_push di dv
-    | Some f, _, _ -> fun taddr dv -> f ~iaddr:taddr ~dinfo:dv
-    | None, Some ia, Some di ->
-      fun taddr dv ->
-        ibuf_push ia taddr;
-        ibuf_push di dv
-    | None, _, _ -> fun _ _ -> ()
+    match on_insn with
+    | Some f -> fun taddr dv -> f ~iaddr:taddr ~dinfo:dv
+    | None -> fun _ _ -> ()
   in
-  let emit_on = on_insn <> None || tr_iaddr <> None in
+  let emit_on = on_insn <> None in
 
   let idx = ref img.Link.entry_index in
   (* Control state in one cell: -1 = sequential; t >= 0 = branch pending,
@@ -1052,9 +987,4 @@ let run ?(trace = true) ?on_insn ?(max_steps = 400_000_000) (img : Link.image)
     load_words = !load_words;
     store_words = !store_words;
     interlocks = !interlocks;
-    trace =
-      (match (tr_iaddr, tr_dinfo) with
-      | Some ia, Some di ->
-        Some { iaddr = ibuf_contents ia; dinfo = ibuf_contents di }
-      | _ -> None);
   }

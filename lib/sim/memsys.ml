@@ -23,7 +23,8 @@ let miss_rate s =
 type nocache = { irequests : int; drequests : int }
 
 (* The cacheless machine's one-block instruction buffer (paper Section
-   4.2), shared by the trace replays and the cycle-accurate pipeline. *)
+   4.2), shared by the trace replays, the streamed stats and the
+   cycle-accurate pipeline. *)
 module Fetchbuf = struct
   type t = { bus_bytes : int; mutable block : int; mutable requests : int }
 
@@ -69,33 +70,6 @@ module Fetchbuf = struct
 end
 
 let data_requests ~bus_bytes ~bytes = (bytes + bus_bytes - 1) / bus_bytes
-
-let get_trace (r : Machine.result) =
-  match r.Machine.trace with
-  | Some t -> t
-  | None -> invalid_arg "Memsys: result has no trace"
-
-let replay_nocache ~bus_bytes (r : Machine.result) =
-  let t = get_trace r in
-  let buf = Fetchbuf.make ~bus_bytes in
-  let dreq = ref 0 in
-  let n = Array.length t.Machine.iaddr in
-  for i = 0 to n - 1 do
-    (* Bit 0 of a traced instruction address marks a wide (4-byte)
-       instruction on a mixed-width target; the tail halfword may need a
-       second bus request. *)
-    let a = t.Machine.iaddr.(i) in
-    let wide = a land 1 <> 0 in
-    let a = a land lnot 1 in
-    ignore (Fetchbuf.fetch buf ~addr:a);
-    if wide then ignore (Fetchbuf.fetch buf ~addr:(a + 2));
-    let d = t.Machine.dinfo.(i) in
-    if d <> 0 then begin
-      let bytes = (d lsr 1) land 0xF in
-      dreq := !dreq + data_requests ~bus_bytes ~bytes
-    end
-  done;
-  { irequests = Fetchbuf.requests buf; drequests = !dreq }
 
 let nocache_cycles ~wait_states (r : Machine.result) nc =
   r.Machine.ic + r.Machine.interlocks
@@ -657,46 +631,6 @@ type cached = {
   dcache_read : cache_stats;
   dcache_write : cache_stats;
 }
-
-let replay_cached ~insn_bytes ~icache ~dcache (r : Machine.result) =
-  let t = get_trace r in
-  let ic = Cache.make icache in
-  let dc = Cache.make dcache in
-  let dreads = ref 0 in
-  let dread_miss = ref 0 in
-  let dwrites = ref 0 in
-  let dwrite_miss = ref 0 in
-  let n = Array.length t.Machine.iaddr in
-  for i = 0 to n - 1 do
-    let a = t.Machine.iaddr.(i) in
-    let wide = a land 1 <> 0 in
-    let a = a land lnot 1 in
-    ignore
-      (Cache.access ic ~is_read:true ~addr:a
-         ~bytes:(if wide then 4 else insn_bytes));
-    let d = t.Machine.dinfo.(i) in
-    if d <> 0 then begin
-      let is_write = d land 1 = 1 in
-      let bytes = (d lsr 1) land 0xF in
-      let addr = d lsr 5 in
-      let missed = Cache.access dc ~is_read:(not is_write) ~addr ~bytes in
-      if is_write then begin
-        incr dwrites;
-        if missed then incr dwrite_miss
-      end
-      else begin
-        incr dreads;
-        if missed then incr dread_miss
-      end
-    end
-  done;
-  {
-    icache = Cache.stats ic;
-    dcache_read =
-      { accesses = !dreads; misses = !dread_miss; words_transferred = 0 };
-    dcache_write =
-      { accesses = !dwrites; misses = !dwrite_miss; words_transferred = 0 };
-  }
 
 let cached_cycles ~miss_penalty (r : Machine.result) (c : cached) =
   r.Machine.ic + r.Machine.interlocks

@@ -8,7 +8,11 @@
     Cached machines: split direct-mapped I/D caches with sub-block valid
     bits and wrap-around prefetch on read misses (dinero-style, Section
     4.1.1).  Cycles = IC + Interlocks + MissPenalty * (IMiss + RMiss +
-    WMiss). *)
+    WMiss).
+
+    This module holds the automata and the counter records; the replays
+    that drive them over a stored trace are {!Repro_trace.Replay.run} and
+    its sequential oracle {!Repro_trace.Replay.Seq}. *)
 
 type cache_config = {
   size_bytes : int;
@@ -162,9 +166,6 @@ type nocache = {
   drequests : int;  (** Data bus transactions (doubles = 2 on a 32-bit bus). *)
 }
 
-val replay_nocache : bus_bytes:int -> Machine.result -> nocache
-(** Requires the result to carry a trace. *)
-
 val nocache_cycles : wait_states:int -> Machine.result -> nocache -> int
 
 type cached = {
@@ -172,13 +173,6 @@ type cached = {
   dcache_read : cache_stats;
   dcache_write : cache_stats;
 }
-
-val replay_cached :
-  insn_bytes:int ->
-  icache:cache_config ->
-  dcache:cache_config ->
-  Machine.result ->
-  cached
 
 val cached_cycles : miss_penalty:int -> Machine.result -> cached -> int
 

@@ -4,10 +4,10 @@
     One entry point, {!run}, replays a stored trace against any mix of
     bus widths, split I/D cache geometries and full pipeline
     configurations from one decode.  Its results are exactly equal to
-    their direct-execution counterparts
-    ({!Repro_sim.Memsys.replay_nocache}, [replay_cached], and
-    {!Repro_uarch.Uarch} runs) — the differential suite in
-    [test/t_trace.ml] gates on byte-identical counters.
+    the sequential oracle {!Seq} over the same trace and to direct
+    execution (pipelines fed live by {!Repro_uarch.Uarch}) — the
+    differential suite in [test/t_trace.ml] gates on byte-identical
+    counters.
 
     {1 The chunk-parallel framework}
 
@@ -195,11 +195,11 @@ val run :
     for every pipeline configuration, since interlocks depend only on the
     instruction stream.
 
-    Each sub-result is byte-equal to direct execution:
-    {!Repro_sim.Memsys.replay_nocache} per bus,
-    {!Repro_sim.Memsys.replay_cached} per pair (instruction fetch width
-    comes from the trace header), and a {!Repro_uarch.Uarch} run per
-    pipeline configuration.  The differential suite gates on it.
+    Each sub-result is byte-equal to the sequential oracle:
+    {!Seq.nocache} per bus, {!Seq.cached} per pair (instruction fetch
+    width comes from the trace header), and {!Seq.pipelines} — equal in
+    turn to a live {!Repro_uarch.Uarch} run — per pipeline
+    configuration.  The differential suite gates on it.
 
     An empty spec returns empty lists without touching the reader.
 

@@ -54,8 +54,8 @@ module Writer : sig
 
   val step : t -> pc:int -> dinfo:int -> unit
   (** One retired instruction: byte address and packed data access in the
-      {!Repro_sim.Machine.trace} encoding ([0] for none) — the signature
-      of [Machine.run]'s [on_insn] hook. *)
+      encoding of {!Repro_sim.Machine.run}'s [on_insn] hook ([0] for
+      none) — the hook's signature too. *)
 
   val close : t -> unit
   (** Flush the last chunk, write footer and trailer, rename into

@@ -298,8 +298,8 @@ module Mem = struct
     | _ -> invalid_arg "Pipeline.Mem.absorb: summary from a different key"
 
   (* The carried request/miss totals as the plain memory-system counter
-     records: a cacheless carry is exactly {!Memsys.replay_nocache}'s
-     output, a cached carry exactly {!Memsys.replay_cached}'s.  These are
+     records: a cacheless carry is exactly [Replay.Seq.nocache]'s output,
+     a cached carry exactly [Replay.Seq.cached]'s.  These are
      what the penalty-free replays ({!Repro_trace.Replay}) read off a
      sweep — {!charge} prices the same totals for one configuration. *)
 

@@ -1,8 +1,8 @@
 (** The event-stepped five-stage pipeline timing model.
 
     One {!step} per executed instruction, fed either from
-    {!Repro_sim.Machine.run}'s [on_insn] streaming hook (no trace is ever
-    materialized) or by replaying a recorded trace ({!Uarch.replay}).
+    {!Repro_sim.Machine.run}'s [on_insn] streaming hook ({!Uarch.run}) or
+    by replaying a stored trace ({!Repro_trace.Replay.Seq.pipelines}).
     Each event walks the memory-facing stages:
 
     - {b IF}: the fetch buffer (cacheless) or the split I-cache; a fetch
@@ -23,14 +23,16 @@ type result = {
   stalls : Stalls.t;
   caches : Repro_sim.Memsys.cached option;
       (** Cache statistics, for cached configurations; the counters match
-          {!Repro_sim.Memsys.replay_cached} field-for-field. *)
+          {!Repro_trace.Replay.Seq.cached} over the same stream
+          field-for-field. *)
 }
 
 val create : Uconfig.t -> Repro_link.Link.image -> t
 
 val step : t -> iaddr:int -> dinfo:int -> unit
 (** One executed instruction: its byte address and its packed data access
-    ([0] for none — the {!Repro_sim.Machine.trace} encoding). *)
+    ([0] for none — the encoding of {!Repro_sim.Machine.run}'s [on_insn]
+    hook). *)
 
 val result : t -> result
 
@@ -85,13 +87,13 @@ module Mem : sig
 
   val nocache_counters : carry -> Repro_sim.Memsys.nocache
   (** The carried totals of a cacheless carry as the plain bus-request
-      counters — field-for-field what {!Repro_sim.Memsys.replay_nocache}
+      counters — field-for-field what {!Repro_trace.Replay.Seq.nocache}
       reports for the same stream.
       @raise Invalid_argument on a cached carry. *)
 
   val cached_counters : carry -> Repro_sim.Memsys.cached
   (** The carried totals of a cached carry as the plain cache counters —
-      field-for-field what {!Repro_sim.Memsys.replay_cached} reports for
+      field-for-field what {!Repro_trace.Replay.Seq.cached} reports for
       the same stream.
       @raise Invalid_argument on a cacheless carry. *)
 

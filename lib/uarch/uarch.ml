@@ -5,17 +5,10 @@ let run_many cfgs img =
   let on_insn ~iaddr ~dinfo =
     List.iter (fun p -> Pipeline.step p ~iaddr ~dinfo) pipes
   in
-  let r = Machine.run ~trace:false ~on_insn img in
+  let r = Machine.run ~on_insn img in
   (r, List.map Pipeline.result pipes)
 
 let run cfg img =
   match run_many [ cfg ] img with
   | r, [ p ] -> (r, p)
   | _ -> assert false
-
-let replay cfg img (tr : Machine.trace) =
-  let p = Pipeline.create cfg img in
-  Array.iteri
-    (fun i iaddr -> Pipeline.step p ~iaddr ~dinfo:tr.Machine.dinfo.(i))
-    tr.Machine.iaddr;
-  Pipeline.result p

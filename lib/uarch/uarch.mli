@@ -4,16 +4,14 @@
     the timing model through {!Repro_sim.Machine.run}'s [on_insn] hook —
     no trace array is ever materialized, so memory stays flat regardless
     of path length.  {!run_many} times several memory configurations in
-    one architectural execution.  {!replay} steps the model over an
-    already-recorded trace, which is what the differential harness uses to
-    compare many configurations against {!Repro_sim.Memsys} replays of the
-    same run. *)
+    one architectural execution.  Stepping the model over a stored trace
+    instead is {!Repro_trace.Replay.Seq.pipelines} (sequential) or
+    {!Repro_trace.Replay.run} (chunk-parallel). *)
 
 val run :
   Uconfig.t ->
   Repro_link.Link.image ->
   Repro_sim.Machine.result * Pipeline.result
-(** The architectural result carries no trace ([trace = None]). *)
 
 val run_many :
   Uconfig.t list ->
@@ -21,9 +19,3 @@ val run_many :
   Repro_sim.Machine.result * Pipeline.result list
 (** One architectural execution feeding one pipeline per configuration;
     results are in configuration order. *)
-
-val replay :
-  Uconfig.t ->
-  Repro_link.Link.image ->
-  Repro_sim.Machine.trace ->
-  Pipeline.result

@@ -8,7 +8,7 @@ module Compile = Repro_harness.Compile
 module Machine = Repro_sim.Machine
 
 let run ?(target = Target.d16) ?optimize src =
-  let _, r = Compile.compile_and_run ?optimize ~trace:false target src in
+  let _, r = Compile.compile_and_run ?optimize target src in
   r
 
 let output ?target ?optimize src = (run ?target ?optimize src).Machine.output

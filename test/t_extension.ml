@@ -58,7 +58,7 @@ let test_d16x_outputs_match () =
     (fun name ->
       let b = Suite.find name in
       let out t =
-        (snd (Compile.compile_and_run ~trace:false t b.Suite.source))
+        (snd (Compile.compile_and_run t b.Suite.source))
           .Machine.output
       in
       Alcotest.(check string) (name ^ " output") (out Target.d16)
@@ -84,7 +84,7 @@ let test_d16x_uses_cmpeqi () =
     |> List.length
   in
   Alcotest.(check bool) "emits cmpeqi" true (cmpis >= 1);
-  let _, r = Compile.compile_and_run ~trace:false Target.d16x src in
+  let _, r = Compile.compile_and_run Target.d16x src in
   Alcotest.(check string) "and is correct" "3" r.Machine.output
 
 let test_d16x_speedup_band () =
@@ -93,7 +93,7 @@ let test_d16x_speedup_band () =
   let speedup name =
     let b = Suite.find name in
     let ic t =
-      (snd (Compile.compile_and_run ~trace:false t b.Suite.source)).Machine.ic
+      (snd (Compile.compile_and_run t b.Suite.source)).Machine.ic
     in
     1. -. (float_of_int (ic Target.d16x) /. float_of_int (ic Target.d16))
   in
@@ -128,13 +128,13 @@ let test_ablations_preserve_semantics () =
       List.iter
         (fun t ->
           let reference =
-            (snd (Compile.compile_and_run ~trace:false t b.Suite.source))
+            (snd (Compile.compile_and_run t b.Suite.source))
               .Machine.output
           in
           List.iter
             (fun ab ->
               let _, r =
-                Compile.compile_and_run ~ablation:ab ~trace:false t
+                Compile.compile_and_run ~ablation:ab t
                   b.Suite.source
               in
               Alcotest.(check string)
@@ -151,9 +151,9 @@ let test_nop_padding_costs () =
   let ab =
     { Compile.no_ablation with fill_delay_slots = false }
   in
-  let _, full = Compile.compile_and_run ~trace:false Target.d16 b.Suite.source in
+  let _, full = Compile.compile_and_run Target.d16 b.Suite.source in
   let _, padded =
-    Compile.compile_and_run ~ablation:ab ~trace:false Target.d16 b.Suite.source
+    Compile.compile_and_run ~ablation:ab Target.d16 b.Suite.source
   in
   Alcotest.(check string) "same output" full.Machine.output padded.Machine.output;
   Alcotest.(check bool) "padding lengthens the path" true

@@ -10,7 +10,7 @@ module Link = Repro_link.Link
 let results_for (b : Suite.benchmark) =
   List.map
     (fun t ->
-      let img, r = Compile.compile_and_run ~trace:false t b.Suite.source in
+      let img, r = Compile.compile_and_run t b.Suite.source in
       (t, img, r))
     Target.all
 
@@ -34,7 +34,7 @@ let test_suite_agreement () =
 let test_known_outputs () =
   let expect name prefix =
     let b = Suite.find name in
-    let _, r = Compile.compile_and_run ~trace:false Target.d16 b.Suite.source in
+    let _, r = Compile.compile_and_run Target.d16 b.Suite.source in
     let out = r.Machine.output in
     Alcotest.(check bool)
       (Printf.sprintf "%s output %S starts with %S" name out prefix)
@@ -59,7 +59,7 @@ let test_sorted_outputs () =
   List.iter
     (fun name ->
       let b = Suite.find name in
-      let _, r = Compile.compile_and_run ~trace:false Target.dlxe b.Suite.source in
+      let _, r = Compile.compile_and_run Target.dlxe b.Suite.source in
       Alcotest.(check bool) (name ^ " sorted") false
         (contains r.Machine.output "NOT SORTED"))
     [ "bubblesort"; "quicksort" ]
@@ -70,7 +70,7 @@ let test_size_orderings () =
     (fun (b : Suite.benchmark) ->
       let sizes =
         List.map
-          (fun t -> Link.size_bytes (fst (Compile.compile_and_run ~trace:false t b.Suite.source)))
+          (fun t -> Link.size_bytes (fst (Compile.compile_and_run t b.Suite.source)))
           [ Target.d16; Target.dlxe ]
       in
       match sizes with
@@ -85,7 +85,7 @@ let test_path_orderings () =
   List.iter
     (fun (b : Suite.benchmark) ->
       let ic t =
-        (snd (Compile.compile_and_run ~trace:false t b.Suite.source)).Machine.ic
+        (snd (Compile.compile_and_run t b.Suite.source)).Machine.ic
       in
       let i16 = ic Target.d16 and i32 = ic Target.dlxe in
       Alcotest.(check bool)
@@ -101,7 +101,7 @@ let test_restricted_monotonicity () =
   List.iter
     (fun (b : Suite.benchmark) ->
       let size t =
-        Link.size_bytes (fst (Compile.compile_and_run ~trace:false t b.Suite.source))
+        Link.size_bytes (fst (Compile.compile_and_run t b.Suite.source))
       in
       Alcotest.(check bool)
         (b.Suite.name ^ ": 2-address not smaller than 3-address")

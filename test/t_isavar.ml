@@ -6,16 +6,18 @@
      and the statement fuzzer run differentially against the host
      reference interpreter (with the wide-marked trace capture
      roundtripping through the codec).
-   - Fusion: with an empty rule table every engine (streamed, direct,
-     trace replay) is byte-equal to a plain scoreboard walk — the
+   - Fusion: with an empty rule table both engines (streamed, trace
+     replay) are byte-equal to a plain scoreboard walk — the
      differential gate — and with the shipped rules the engines agree
-     with each other, per-rule counters sum to the fused total, and the
-     fused path length is strictly below the baseline where pairs hit.
+     with each other and with a greedy pairing written here, per-rule
+     counters sum to the fused total, and the fused path length is
+     strictly below the baseline where pairs hit.
    - Target plumbing: the five paper targets' describe strings are
      byte-identical to the seed (persistent cache keys must not move). *)
 
 module Target = Repro_core.Target
 module Insn = Repro_core.Insn
+module Asm = Repro_codegen.Asm
 module D16 = Repro_core.D16
 module D16m = Repro_core.D16m
 module Suite = Repro_workloads.Suite
@@ -24,15 +26,8 @@ module Machine = Repro_sim.Machine
 module Link = Repro_link.Link
 module Predecode = Repro_uarch.Predecode
 module Scoreboard = Repro_uarch.Scoreboard
-module Trace = Repro_trace.Trace
 module Reader = Repro_trace.Trace.Reader
 module Fusion = Repro_isavar.Fusion
-
-let with_temp f =
-  let path = Filename.temp_file "repro-t-isavar" ".trc" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
 
 (* ---- Target description stability ---- *)
 
@@ -194,25 +189,15 @@ let fuzz_d16m =
     (QCheck.make ~print:T_progfuzz.program_c T_progfuzz.gen_stmts)
     (fun stmts ->
       let src = T_progfuzz.program_c stmts in
-      let _, r = Compile.compile_and_run ~trace:true Target.d16m src in
-      let tr = Option.get r.Machine.trace in
-      let records =
-        Array.to_list
-          (Array.mapi (fun i a -> (a, tr.Machine.dinfo.(i))) tr.Machine.iaddr)
+      let recorded = ref [] in
+      let r, rd =
+        Capture.capture ~chunk_records:64
+          ~on_insn:(fun ~iaddr ~dinfo -> recorded := (iaddr, dinfo) :: !recorded)
+          (Compile.compile Target.d16m src)
       in
-      let roundtripped =
-        with_temp (fun path ->
-            let w = Trace.Writer.create ~chunk_records:64 ~insn_bytes:2 path in
-            List.iter (fun (pc, dinfo) -> Trace.Writer.step w ~pc ~dinfo) records;
-            Trace.Writer.close w;
-            match Reader.open_file path with
-            | Error _ -> false
-            | Ok rd ->
-              let out = ref [] in
-              Reader.iter rd (fun ~pc ~dinfo -> out := (pc, dinfo) :: !out);
-              List.rev !out = records)
-      in
-      r.Machine.output = T_progfuzz.reference stmts && roundtripped)
+      let read_back = ref [] in
+      Reader.iter rd (fun ~pc ~dinfo -> read_back := (pc, dinfo) :: !read_back);
+      r.Machine.output = T_progfuzz.reference stmts && !read_back = !recorded)
 
 (* ---- Macro-op fusion ---- *)
 
@@ -228,22 +213,35 @@ let baseline_walk (img : Link.image) iaddrs =
     iaddrs;
   (Scoreboard.clock sb, Scoreboard.load_stalls sb, Scoreboard.fp_stalls sb)
 
-let traced_run bench t f =
-  let img = Compile.compile t (Suite.find bench).Suite.source in
-  with_temp (fun path ->
-      let w =
-        Trace.Writer.create ~chunk_records:10_000
-          ~insn_bytes:(Target.insn_bytes t) path
-      in
-      let r =
-        Machine.run ~trace:true
-          ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
-          img
-      in
-      Trace.Writer.close w;
-      match Reader.open_file path with
-      | Error e -> Alcotest.fail e
-      | Ok rd -> f img r rd)
+(* An independent oracle for the dynamic pairing, sharing nothing with
+   Fusion's engines: walk the executed indices; a pair fuses when some
+   rule matches [(idx, idx+1)] (the first such rule scores the hit) and
+   the next executed index is [idx+1]; the second half of a fused pair
+   cannot start another pair.  Returns the per-rule hits. *)
+let greedy_hits rules (img : Link.image) idxs =
+  let insns = img.Link.insns in
+  let rules = Array.of_list rules in
+  let hits = Array.make (Array.length rules) 0 in
+  let first_rule i =
+    let rec go j =
+      if j = Array.length rules then None
+      else if rules.(j).Fusion.matches insns.(i) insns.(i + 1) then Some j
+      else go (j + 1)
+    in
+    go 0
+  in
+  let rec walk = function
+    | i :: (i' :: rest' as rest) when i' = i + 1 -> (
+      match first_rule i with
+      | Some j ->
+        hits.(j) <- hits.(j) + 1;
+        walk rest'
+      | None -> walk rest)
+    | _ :: rest -> walk rest
+    | [] -> ()
+  in
+  walk idxs;
+  hits
 
 let check_counters name (a : Fusion.counters) (b : Fusion.counters) =
   Alcotest.(check int) (name ^ " ic") a.Fusion.ic b.Fusion.ic;
@@ -262,67 +260,118 @@ let check_counters name (a : Fusion.counters) (b : Fusion.counters) =
     (name ^ " fp_interlocks")
     a.Fusion.fp_interlocks b.Fusion.fp_interlocks
 
-let fusion_differential bench (t : Target.t) =
-  traced_run bench t (fun img r rd ->
-      let name s = bench ^ " " ^ t.Target.name ^ " " ^ s in
-      let iaddrs = (Option.get r.Machine.trace).Machine.iaddr in
-      (* Empty rule table: every engine must be byte-equal to the plain
-         scoreboard walk — the pairing machinery must be invisible. *)
-      let empty = Fusion.plan [] img in
-      Alcotest.(check int) (name "empty static_pairs") 0
-        (Fusion.static_pairs empty);
-      let clock, loads, fps = baseline_walk img iaddrs in
-      let against_baseline what (c : Fusion.counters) =
-        Alcotest.(check int) (name (what ^ " ic")) r.Machine.ic c.Fusion.ic;
-        Alcotest.(check int) (name (what ^ " fused")) 0 c.Fusion.fused;
-        Alcotest.(check int) (name (what ^ " clock")) clock
-          c.Fusion.interlock_clock;
-        Alcotest.(check int) (name (what ^ " loads")) loads
-          c.Fusion.load_interlocks;
-        Alcotest.(check int) (name (what ^ " fps")) fps c.Fusion.fp_interlocks;
-        Alcotest.(check int)
-          (name (what ^ " dynamic_ops"))
-          r.Machine.ic (Fusion.dynamic_ops c)
-      in
-      against_baseline "empty direct" (Fusion.direct empty r);
-      against_baseline "empty replay" (Fusion.replay empty rd);
-      let st = Fusion.stream_start empty in
-      Array.iter (fun iaddr -> Fusion.stream_step st ~iaddr) iaddrs;
-      against_baseline "empty streamed" (Fusion.stream_finish st);
-      (* Shipped rules: the three engines agree field-for-field, per-rule
-         counters sum to the fused total, and the accounting is
-         conservative (a pair removes exactly one issued op). *)
-      let plan = Fusion.plan Fusion.default_rules img in
-      let direct = Fusion.direct plan r in
-      let replayed = Fusion.replay plan rd in
-      check_counters (name "default direct=replay") direct replayed;
-      let st = Fusion.stream_start plan in
-      Array.iter (fun iaddr -> Fusion.stream_step st ~iaddr) iaddrs;
-      check_counters (name "default direct=streamed") direct
-        (Fusion.stream_finish st);
+let fusion_check what (img : Link.image) =
+  let t = img.Link.target in
+  let name s = what ^ " " ^ t.Target.name ^ " " ^ s in
+  let empty = Fusion.plan [] img in
+  let plan = Fusion.plan Fusion.default_rules img in
+  (* One execution, captured to a trace, feeding both plans' streamed
+     engines live and recording the executed addresses for the
+     oracles. *)
+  let empty_st = Fusion.stream_start empty in
+  let st = Fusion.stream_start plan in
+  let executed = ref [] in
+  let r, rd =
+    Capture.capture ~chunk_records:10_000
+      ~on_insn:(fun ~iaddr ~dinfo:_ ->
+        executed := iaddr :: !executed;
+        Fusion.stream_step empty_st ~iaddr;
+        Fusion.stream_step st ~iaddr)
+      img
+  in
+  let iaddrs = Array.of_list (List.rev !executed) in
+  let streamed = Fusion.stream_finish st in
+  (* Empty rule table: every engine must be byte-equal to the plain
+     scoreboard walk — the pairing machinery must be invisible. *)
+  Alcotest.(check int) (name "empty static_pairs") 0
+    (Fusion.static_pairs empty);
+  let clock, loads, fps = baseline_walk img iaddrs in
+  let against_baseline what (c : Fusion.counters) =
+    Alcotest.(check int) (name (what ^ " ic")) r.Machine.ic c.Fusion.ic;
+    Alcotest.(check int) (name (what ^ " fused")) 0 c.Fusion.fused;
+    Alcotest.(check int) (name (what ^ " clock")) clock
+      c.Fusion.interlock_clock;
+    Alcotest.(check int) (name (what ^ " loads")) loads
+      c.Fusion.load_interlocks;
+    Alcotest.(check int) (name (what ^ " fps")) fps c.Fusion.fp_interlocks;
+    Alcotest.(check int)
+      (name (what ^ " dynamic_ops"))
+      r.Machine.ic (Fusion.dynamic_ops c)
+  in
+  against_baseline "empty replay" (Fusion.replay empty rd);
+  against_baseline "empty streamed" (Fusion.stream_finish empty_st);
+  (* Shipped rules: both engines agree field-for-field, their pairing
+     equals the greedy oracle's, per-rule counters sum to the fused
+     total, and the accounting is conservative (a pair removes
+     exactly one issued op). *)
+  let replayed = Fusion.replay plan rd in
+  check_counters (name "default streamed=replay") streamed replayed;
+  let hits =
+    greedy_hits Fusion.default_rules img
+      (Array.to_list
+         (Array.map (fun ia -> Link.index_at img (ia land lnot 1)) iaddrs))
+  in
+  List.iter
+    (fun (what, (c : Fusion.counters)) ->
       Alcotest.(check int)
-        (name "rule_hits sum to fused")
-        direct.Fusion.fused
-        (Array.fold_left ( + ) 0 direct.Fusion.rule_hits);
-      Alcotest.(check int) (name "ic matches run") r.Machine.ic
-        direct.Fusion.ic;
-      Alcotest.(check bool)
-        (name "dynamic ops in range")
-        true
-        (Fusion.dynamic_ops direct <= direct.Fusion.ic
-        && Fusion.dynamic_ops direct >= (direct.Fusion.ic + 1) / 2);
-      if Fusion.static_pairs plan > 0 && t.Target.name = Target.d16.Target.name
-      then
-        Alcotest.(check bool)
-          (name "fused path strictly shorter")
-          true
-          (Fusion.dynamic_ops direct < direct.Fusion.ic))
+        (name (what ^ " fused = greedy"))
+        (Array.fold_left ( + ) 0 hits)
+        c.Fusion.fused;
+      Alcotest.(check (list int))
+        (name (what ^ " rule_hits = greedy"))
+        (Array.to_list hits)
+        (Array.to_list c.Fusion.rule_hits))
+    [ ("streamed", streamed); ("replay", replayed) ];
+  Alcotest.(check int)
+    (name "rule_hits sum to fused")
+    streamed.Fusion.fused
+    (Array.fold_left ( + ) 0 streamed.Fusion.rule_hits);
+  Alcotest.(check int) (name "ic matches run") r.Machine.ic
+    streamed.Fusion.ic;
+  Alcotest.(check bool)
+    (name "dynamic ops in range")
+    true
+    (Fusion.dynamic_ops streamed <= streamed.Fusion.ic
+    && Fusion.dynamic_ops streamed >= (streamed.Fusion.ic + 1) / 2);
+  if Fusion.static_pairs plan > 0 && t.Target.name = Target.d16.Target.name
+  then
+    Alcotest.(check bool)
+      (name "fused path strictly shorter")
+      true
+      (Fusion.dynamic_ops streamed < streamed.Fusion.ic)
+
+let fusion_differential bench (t : Target.t) =
+  fusion_check bench (Compile.compile t (Suite.find bench).Suite.source)
 
 let fusion_case bench =
   Alcotest.test_case ("fusion differential " ^ bench) `Slow (fun () ->
       (* D16m runs the same pass over wide-marked addresses — the stream
          and replay engines must strip the mark bit identically. *)
       List.iter (fusion_differential bench) [ Target.d16; Target.d16m ])
+
+(* A taken branch between the halves.  The delay slot's [mvi r6] matches
+   mvi-alu with its textual successor, but the branch skips that
+   successor, so of the two pairs in [main] only the first fuses.  No suite
+   program reaches this path, so it is assembled by hand. *)
+let test_fusion_taken_branch () =
+  let items =
+    [
+      Asm.Op (Insn.Mvi (5, 3));
+      Asm.Op (Insn.Alu (Insn.Add, 4, 4, 5));
+      Asm.Br_lbl 7;
+      Asm.Op (Insn.Mvi (6, 1));
+      Asm.Op (Insn.Alu (Insn.Add, 4, 4, 6));
+      Asm.Lbl 7;
+      Asm.Op (Insn.J 1);
+      Asm.Op Insn.Nop;
+    ]
+  in
+  let img = Link.link Target.d16 [ { Asm.fn_name = "main"; items } ] [] in
+  let plan = Fusion.plan Fusion.default_rules img in
+  (* The startup stub's [ldc r0; mv r2, r0] and main's first pair. *)
+  Alcotest.(check int) "two dynamic pairs" 2
+    (Fusion.replay plan (snd (Capture.capture img))).Fusion.fused;
+  fusion_check "taken branch" img
 
 let test_merge () =
   (* cmp+branch on queens/d16: static pairs exist, and the merged
@@ -351,6 +400,8 @@ let tests =
     Alcotest.test_case "compiled D16m image re-decodes" `Quick
       test_image_roundtrip;
     Alcotest.test_case "merged descriptors forward" `Quick test_merge;
+    Alcotest.test_case "fusion: a taken branch splits a pair" `Quick
+      test_fusion_taken_branch;
   ]
   @ List.map QCheck_alcotest.to_alcotest encoding_tests
   @ [ QCheck_alcotest.to_alcotest fuzz_d16m ]

@@ -88,7 +88,7 @@ let test_far_branch_relaxation () =
   (* The function body is ~>2KB on D16, beyond the +/-1024 conditional
      reach, forcing relaxation; results must agree with DLXe. *)
   let run t =
-    let _, r = Compile.compile_and_run ~trace:false t far_branch_source in
+    let _, r = Compile.compile_and_run t far_branch_source in
     r.Machine.output
   in
   let img = compile Target.d16 far_branch_source in
@@ -118,7 +118,7 @@ let test_far_calls () =
       funcs
   in
   let run t =
-    let _, r = Compile.compile_and_run ~trace:false t src in
+    let _, r = Compile.compile_and_run t src in
     r.Machine.output
   in
   Alcotest.(check string) "far calls preserve semantics" (run Target.dlxe)

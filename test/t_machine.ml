@@ -16,7 +16,7 @@ module Compile = Repro_harness.Compile
 let run ?(target = Target.d16) items =
   let epilogue = [ Asm.Op (Insn.J 1); Asm.Op Insn.Nop ] in
   let img = Link.link target [ { Asm.fn_name = "main"; items = items @ epilogue } ] [] in
-  Machine.run ~trace:true img
+  Machine.run img
 
 let exit_code ?target items = (run ?target items).Machine.exit_code
 
@@ -205,13 +205,51 @@ let test_zero_register_dlxe () =
 
 (* Differential gate for the threaded interpreter: [run] must agree with
    [run_ref] (the retained per-insn-closure oracle) on EVERY observable —
-   exit code, output, counters, and the full instruction/data trace — for
-   every suite benchmark on every machine, and on runtime errors,
+   exit code, output, counters, and the full [on_insn] record stream —
+   for every suite benchmark on every machine, and on runtime errors,
    including the message text. *)
 let test_run_vs_run_ref () =
   let check_equal name img =
-    let a = Machine.run ~trace:true img in
-    let b = Machine.run_ref ~trace:true img in
+    (* [run]'s stream, (iaddr, dinfo) interleaved in one growable array. *)
+    let recs = ref (Array.make 65536 0) in
+    let n = ref 0 in
+    let push v =
+      if !n = Array.length !recs then begin
+        let bigger = Array.make (2 * !n) 0 in
+        Array.blit !recs 0 bigger 0 !n;
+        recs := bigger
+      end;
+      !recs.(!n) <- v;
+      incr n
+    in
+    let a =
+      Machine.run
+        ~on_insn:(fun ~iaddr ~dinfo ->
+          push iaddr;
+          push dinfo)
+        img
+    in
+    (* [run_ref]'s stream, checked record by record as it retires. *)
+    let k = ref 0 in
+    let b =
+      Machine.run_ref
+        ~on_insn:(fun ~iaddr ~dinfo ->
+          let i = !k in
+          if (2 * i) + 1 >= !n then
+            Alcotest.failf
+              "%s: run_ref retires record %d (iaddr=0x%x dinfo=0x%x) past \
+               run's last"
+              name i iaddr dinfo;
+          let ia = !recs.(2 * i) and di = !recs.((2 * i) + 1) in
+          if ia <> iaddr || di <> dinfo then
+            Alcotest.failf
+              "%s: record %d differs: run (iaddr=0x%x dinfo=0x%x), run_ref \
+               (iaddr=0x%x dinfo=0x%x)"
+              name i ia di iaddr dinfo;
+          k := i + 1)
+        img
+    in
+    Alcotest.(check int) (name ^ " records") (!n / 2) !k;
     let scalar what v v' =
       Alcotest.(check int) (Printf.sprintf "%s %s" name what) v' v
     in
@@ -223,16 +261,7 @@ let test_run_vs_run_ref () =
     scalar "stores" a.Machine.stores b.Machine.stores;
     scalar "load_words" a.Machine.load_words b.Machine.load_words;
     scalar "store_words" a.Machine.store_words b.Machine.store_words;
-    scalar "interlocks" a.Machine.interlocks b.Machine.interlocks;
-    match (a.Machine.trace, b.Machine.trace) with
-    | Some ta, Some tb ->
-      Alcotest.(check bool)
-        (name ^ " iaddr trace") true
-        (ta.Machine.iaddr = tb.Machine.iaddr);
-      Alcotest.(check bool)
-        (name ^ " dinfo trace") true
-        (ta.Machine.dinfo = tb.Machine.dinfo)
-    | _ -> Alcotest.fail (name ^ ": missing trace")
+    scalar "interlocks" a.Machine.interlocks b.Machine.interlocks
   in
   List.iter
     (fun (t : Target.t) ->
@@ -264,8 +293,8 @@ let test_run_vs_run_ref_errors () =
         in
         Alcotest.(check string)
           (Printf.sprintf "%s (%s)" name target.Target.name)
-          (err_of (fun () -> Machine.run_ref ~trace:false ?max_steps img))
-          (err_of (fun () -> Machine.run ~trace:false ?max_steps img)))
+          (err_of (fun () -> Machine.run_ref ?max_steps img))
+          (err_of (fun () -> Machine.run ?max_steps img)))
       [ Target.d16; Target.dlxe ]
   in
   check_err "unaligned load"

@@ -168,7 +168,7 @@ let fuzz =
       let expected = reference stmts in
       List.for_all
         (fun t ->
-          let _, r = Compile.compile_and_run ~trace:false t src in
+          let _, r = Compile.compile_and_run t src in
           r.Machine.output = expected)
         [ Target.d16; Target.dlxe; Target.dlxe_16_2 ])
 

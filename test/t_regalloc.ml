@@ -123,7 +123,7 @@ let test_pressure_allocation () =
   (* And it computes the right thing everywhere. *)
   List.iter
     (fun t ->
-      let _, r = Repro_harness.Compile.compile_and_run ~trace:false t src in
+      let _, r = Repro_harness.Compile.compile_and_run t src in
       Alcotest.(check string) ("pressure output " ^ t.Target.name) "236"
         r.Repro_sim.Machine.output)
     Target.all
@@ -148,7 +148,7 @@ let test_argument_shuffles () =
   in
   List.iter
     (fun t ->
-      let _, r = Repro_harness.Compile.compile_and_run ~trace:false t src in
+      let _, r = Repro_harness.Compile.compile_and_run t src in
       Alcotest.(check string)
         ("shuffle output " ^ t.Target.name)
         "2143 1234 4123 1234\n" r.Repro_sim.Machine.output)

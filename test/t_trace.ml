@@ -21,14 +21,6 @@ module Reader = Repro_trace.Trace.Reader
 module Link = Repro_link.Link
 module Runs = Repro_harness.Runs
 
-let temp_path () = Filename.temp_file "repro-t-trace" ".trc"
-
-let with_temp f =
-  let path = temp_path () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 (* Write the record stream and read it back. *)
 let roundtrip ?chunk_records ?(insn_bytes = 2) records path =
   let w = Trace.Writer.create ?chunk_records ~insn_bytes path in
@@ -65,7 +57,7 @@ let synthetic_roundtrip =
     (QCheck.make
        QCheck.Gen.(list_size (int_bound 200) gen_record))
     (fun records ->
-      with_temp (fun path ->
+      Capture.with_temp (fun path ->
           let rd, out = roundtrip ~chunk_records:7 records path in
           let n = List.length records in
           out = records
@@ -81,7 +73,7 @@ let synthetic_roundtrip_chunk1 =
     ~count:40
     (QCheck.make QCheck.Gen.(list_size (int_bound 80) gen_record))
     (fun records ->
-      with_temp (fun path ->
+      Capture.with_temp (fun path ->
           let rd, out = roundtrip ~chunk_records:1 records path in
           out = records
           && Reader.n_chunks rd = List.length records
@@ -97,7 +89,7 @@ let test_exact_flush_boundary () =
   let record i = ((i * 6) land 0xFFFF, if i land 3 = 0 then 0 else (i lsl 5) lor 9) in
   List.iter
     (fun (n, chunk_records, want_chunks) ->
-      with_temp (fun path ->
+      Capture.with_temp (fun path ->
           let records = List.init n record in
           let rd, out = roundtrip ~chunk_records records path in
           let label = Printf.sprintf "n=%d cr=%d" n chunk_records in
@@ -119,7 +111,7 @@ let test_scratch_growth () =
     List.init 600 (fun i ->
         if i land 1 = 0 then (0, 0) else (big, (big lsl 5) lor (8 lsl 1)))
   in
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       let rd, out = roundtrip ~chunk_records:512 records path in
       Alcotest.(check int) "chunks" 2 (Reader.n_chunks rd);
       Alcotest.(check bool) "identity" true (out = records));
@@ -134,7 +126,7 @@ let test_scratch_growth () =
   in
   List.iter
     (fun chunk_records ->
-      with_temp (fun path ->
+      Capture.with_temp (fun path ->
           let rd, out = roundtrip ~chunk_records adversarial path in
           Alcotest.(check bool)
             (Printf.sprintf "adversarial chunk_records=%d identity"
@@ -175,7 +167,7 @@ let synthetic_grid =
     ~count:40
     (QCheck.make QCheck.Gen.(list_size (int_bound 300) gen_record))
     (fun records ->
-      with_temp (fun path ->
+      Capture.with_temp (fun path ->
           let rd, _ = roundtrip ~chunk_records:16 records path in
           let seq_ok, par_ok = grid_equals_cached rd geometries ~jobs:3 in
           seq_ok && par_ok))
@@ -248,7 +240,7 @@ let test_fetch_events () =
     (fun insn_bytes ->
       List.iter
         (fun chunk_records ->
-          with_temp (fun path ->
+          Capture.with_temp (fun path ->
               let label fmt =
                 Printf.ksprintf
                   (fun s ->
@@ -332,7 +324,7 @@ let synthetic_upipelines =
               (fun (raw, dinfo) -> (img.Link.addr_of.(raw mod n), dinfo))
               records
           in
-          with_temp (fun path ->
+          Capture.with_temp (fun path ->
               let rd, _ =
                 roundtrip ~chunk_records:5 ~insn_bytes:(Target.insn_bytes t)
                   records path
@@ -479,7 +471,7 @@ let synthetic_counter =
     ~count:60
     (QCheck.make QCheck.Gen.(list_size (int_bound 200) gen_record))
     (fun records ->
-      with_temp (fun path ->
+      Capture.with_temp (fun path ->
           let rd, _ = roundtrip ~chunk_records:7 records path in
           let state (k : Counter_auto.carry) =
             (k.Counter_auto.k_slack, k.Counter_auto.k_stalls)
@@ -515,27 +507,26 @@ let progfuzz_roundtrip () =
       let src = T_progfuzz.program_c stmts in
       List.iter
         (fun t ->
-          let _, r = Compile.compile_and_run ~trace:true t src in
-          let tr = Option.get r.Machine.trace in
-          let records =
-            Array.to_list
-              (Array.mapi (fun i a -> (a, tr.Machine.dinfo.(i))) tr.Machine.iaddr)
+          let recorded = ref [] in
+          let _, rd =
+            Capture.capture ~chunk_records:512
+              ~on_insn:(fun ~iaddr ~dinfo ->
+                recorded := (iaddr, dinfo) :: !recorded)
+              (Compile.compile t src)
           in
-          with_temp (fun path ->
-              let _, out =
-                roundtrip ~chunk_records:512
-                  ~insn_bytes:(Target.insn_bytes t) records path
-              in
-              Alcotest.(check int)
-                (t.Target.name ^ " record count")
-                (List.length records) (List.length out);
-              Alcotest.(check bool) (t.Target.name ^ " identity") true
-                (out = records)))
+          let read_back = ref [] in
+          Reader.iter rd (fun ~pc ~dinfo ->
+              read_back := (pc, dinfo) :: !read_back);
+          Alcotest.(check int)
+            (t.Target.name ^ " record count")
+            (List.length !recorded) (List.length !read_back);
+          Alcotest.(check bool) (t.Target.name ^ " identity") true
+            (!read_back = !recorded))
         [ Target.d16; Target.dlxe ])
     progs
 
 let test_empty_trace () =
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       let rd, out = roundtrip [] path in
       Alcotest.(check int) "no records" 0 (Reader.n_records rd);
       Alcotest.(check int) "no chunks" 0 (Reader.n_chunks rd);
@@ -549,7 +540,7 @@ let test_writer_validation () =
       Trace.Writer.abort w;
       Alcotest.fail (name ^ " accepted")
   in
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       rejects "chunk_records 0" (fun () ->
           Trace.Writer.create ~chunk_records:0 ~insn_bytes:2 path);
       rejects "insn_bytes 3" (fun () -> Trace.Writer.create ~insn_bytes:3 path))
@@ -624,7 +615,7 @@ let corruption_common path =
    O(footer) by design — and is caught at the damaged chunk's first
    decode, by iteration ([Corrupt]) and by [verify]. *)
 let test_corruption () =
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       corruption_common path;
       let fresh () =
         ignore (roundtrip ~chunk_records:64 corruption_records path)
@@ -696,7 +687,7 @@ let test_corruption () =
    property store's eviction relies on this. *)
 let test_unlink_while_mapped () =
   let records = List.init 5_000 (fun i -> ((i * 2) land 0xFFFF, 0)) in
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       let w = Trace.Writer.create ~chunk_records:512 ~insn_bytes:2 path in
       List.iter (fun (pc, dinfo) -> Trace.Writer.step w ~pc ~dinfo) records;
       Trace.Writer.close w;
@@ -733,173 +724,186 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
     (t : Target.t) =
   let src = (Suite.find bench).Suite.source in
   let img = Compile.compile t src in
-  with_temp (fun path ->
-      (* One execution: materialized arrays for the direct path and a
-         streamed capture for the trace path. *)
-      let w =
-        Trace.Writer.create ~chunk_records:10_000
-          ~insn_bytes:(Target.insn_bytes t) path
-      in
-      let r =
-        Machine.run ~trace:true
-          ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
-          img
-      in
-      Trace.Writer.close w;
-      let rd =
-        match Reader.open_file path with
-        | Ok rd -> rd
-        | Error e -> Alcotest.fail e
-      in
-      let name fmt =
-        Printf.ksprintf (fun s -> bench ^ " " ^ t.Target.name ^ " " ^ s) fmt
-      in
-      Alcotest.(check int) (name "records = ic") r.Machine.ic
-        (Reader.n_records rd);
-      (* Fetch-buffer counters: the reference per-record loop, the chunked
-         engine sequential, and the chunked engine parallel all equal
-         direct execution. *)
-      List.iter
-        (fun bus ->
-          let direct = Memsys.replay_nocache ~bus_bytes:bus r in
-          let reference = Replay.Seq.nocache rd ~bus_bytes:bus in
-          let nocache ?map () =
-            List.hd
-              (Replay.run ?map rd { Replay.empty with buses = [ bus ] })
-                .Replay.nocaches
-          in
-          let seq = nocache () in
-          let par = nocache ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
-          Alcotest.(check int)
-            (name "bus=%d ireq ref" bus)
-            direct.Memsys.irequests reference.Memsys.irequests;
-          Alcotest.(check int)
-            (name "bus=%d dreq ref" bus)
-            direct.Memsys.drequests reference.Memsys.drequests;
-          Alcotest.(check int)
-            (name "bus=%d ireq seq" bus)
-            direct.Memsys.irequests seq.Memsys.irequests;
-          Alcotest.(check int)
-            (name "bus=%d dreq seq" bus)
-            direct.Memsys.drequests seq.Memsys.drequests;
-          Alcotest.(check int)
-            (name "bus=%d ireq par" bus)
-            direct.Memsys.irequests par.Memsys.irequests;
-          Alcotest.(check int)
-            (name "bus=%d dreq par" bus)
-            direct.Memsys.drequests par.Memsys.drequests)
-        buses;
-      (* Cache replay: counters field-for-field, cycles via the paper's
-         formula. *)
-      List.iter
-        (fun (size, block, sub, penalty) ->
-          let cfg = Memsys.cache_config ~size ~block ~sub in
-          let direct =
-            Memsys.replay_cached
-              ~insn_bytes:(Target.insn_bytes t)
-              ~icache:cfg ~dcache:cfg r
-          in
-          let replayed =
-            List.hd
-              (Replay.run rd
-                 {
-                   Replay.empty with
-                   caches = [ cache_pair (size, block, sub) ];
-                 })
-                .Replay.cacheds
-          in
-          let geo = Printf.sprintf "%d/%d/%d" size block sub in
-          Alcotest.(check bool) (name "%s cached equal" geo) true
-            (direct = replayed);
-          Alcotest.(check int)
-            (name "%s cycles" geo)
-            (Memsys.cached_cycles ~miss_penalty:penalty r direct)
-            (Memsys.cached_cycles ~miss_penalty:penalty r replayed))
-        cache_points;
-      (* Grid engine: one decode feeding every geometry — sequential and
-         chunk-parallel both equal to independent per-geometry replays. *)
-      let seq_ok, par_ok = grid_equals_cached rd grid_geos ~jobs:3 in
-      Alcotest.(check bool) (name "grid sequential equal") true seq_ok;
-      Alcotest.(check bool) (name "grid parallel equal") true par_ok;
-      (* Pipeline model: the streamed run, the sequential per-config trace
-         replay and the multi-config grid engine (sequential and
-         chunk-parallel) all integer-equal on the standard sweep. *)
-      let cfgs = Runs.standard_uarch_configs in
-      let _, streamed = Uarch.run_many cfgs img in
-      let replayed = Replay.Seq.pipelines rd cfgs img in
-      let pipes ?map () =
-        (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
-          .Replay.pipes
-      in
-      let useq = pipes () in
-      let upar = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
-      List.iteri
-        (fun i (s : Pipeline.result) ->
-          let d = Uconfig.describe (List.nth cfgs i) in
-          let against what (p : Pipeline.result) =
-            Alcotest.(check string)
-              (name "%s %s stalls" d what)
-              (Stalls.to_string s.Pipeline.stalls)
-              (Stalls.to_string p.Pipeline.stalls);
-            Alcotest.(check bool)
-              (name "%s %s caches" d what)
-              true
-              (s.Pipeline.caches = p.Pipeline.caches)
-          in
-          against "replay" (List.nth replayed i);
-          against "grid seq" (List.nth useq i);
-          against "grid par" (List.nth upar i))
-        streamed;
-      (* Every axis at once from one decode: each sub-result byte-equal
-         to direct execution / the reference loops, sequential and
-         chunk-parallel. *)
-      let spec =
+  (* One execution: the capture for the trace path, and on the same
+     [on_insn] stream the live pipelines that give the direct counters —
+     per bus a one-wait-state cacheless pipeline, whose fetch stalls are
+     the fetch requests and whose data stalls are the data requests, and
+     per cache point a cached pipeline, whose cache counters are direct
+     execution's. *)
+  let live_buses =
+    List.map
+      (fun bus ->
+        Pipeline.create (Uconfig.nocache ~bus_bytes:bus ~wait_states:1) img)
+      buses
+  in
+  let live_caches =
+    List.map
+      (fun (size, block, sub, penalty) ->
+        let cfg = Memsys.cache_config ~size ~block ~sub in
+        Pipeline.create
+          (Uconfig.cached ~icache:cfg ~dcache:cfg ~miss_penalty:penalty)
+          img)
+      cache_points
+  in
+  let live = live_buses @ live_caches in
+  let r, rd =
+    Capture.capture ~chunk_records:10_000
+      ~on_insn:(fun ~iaddr ~dinfo ->
+        List.iter (fun p -> Pipeline.step p ~iaddr ~dinfo) live)
+      img
+  in
+  let direct_nocaches =
+    List.map
+      (fun p ->
+        let s = (Pipeline.result p).Pipeline.stalls in
         {
-          Replay.buses = buses;
-          caches = List.map cache_pair grid_geos;
-          pipelines = cfgs;
-        }
+          Memsys.irequests = s.Stalls.fetch_stalls;
+          drequests = s.Stalls.dmiss_stalls + s.Stalls.wmiss_stalls;
+        })
+      live_buses
+  in
+  let name fmt =
+    Printf.ksprintf (fun s -> bench ^ " " ^ t.Target.name ^ " " ^ s) fmt
+  in
+  Alcotest.(check int) (name "records = ic") r.Machine.ic
+    (Reader.n_records rd);
+  (* Fetch-buffer counters: the reference per-record loop, the chunked
+     engine sequential, and the chunked engine parallel all equal
+     direct execution. *)
+  List.iter2
+    (fun bus (direct : Memsys.nocache) ->
+      let reference = Replay.Seq.nocache rd ~bus_bytes:bus in
+      let nocache ?map () =
+        List.hd
+          (Replay.run ?map rd { Replay.empty with buses = [ bus ] })
+            .Replay.nocaches
       in
-      let check_all what (f : Replay.result) =
-        List.iter2
-          (fun bus nc ->
-            Alcotest.(check bool)
-              (name "all-axis %s bus=%d" what bus)
-              true
-              (nc = Memsys.replay_nocache ~bus_bytes:bus r))
-          spec.Replay.buses f.Replay.nocaches;
-        List.iter2
-          (fun p c ->
-            Alcotest.(check bool)
-              (name "all-axis %s cached" what)
-              true
-              (c = seq_cached rd p))
-          spec.Replay.caches f.Replay.cacheds;
-        List.iteri
-          (fun i (p : Pipeline.result) ->
-            let s = List.nth streamed i in
-            Alcotest.(check string)
-              (name "all-axis %s pipe %d stalls" what i)
-              (Stalls.to_string s.Pipeline.stalls)
-              (Stalls.to_string p.Pipeline.stalls);
-            Alcotest.(check bool)
-              (name "all-axis %s pipe %d caches" what i)
-              true
-              (s.Pipeline.caches = p.Pipeline.caches))
-          f.Replay.pipes
+      let seq = nocache () in
+      let par = nocache ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
+      Alcotest.(check int)
+        (name "bus=%d ireq ref" bus)
+        direct.Memsys.irequests reference.Memsys.irequests;
+      Alcotest.(check int)
+        (name "bus=%d dreq ref" bus)
+        direct.Memsys.drequests reference.Memsys.drequests;
+      Alcotest.(check int)
+        (name "bus=%d ireq seq" bus)
+        direct.Memsys.irequests seq.Memsys.irequests;
+      Alcotest.(check int)
+        (name "bus=%d dreq seq" bus)
+        direct.Memsys.drequests seq.Memsys.drequests;
+      Alcotest.(check int)
+        (name "bus=%d ireq par" bus)
+        direct.Memsys.irequests par.Memsys.irequests;
+      Alcotest.(check int)
+        (name "bus=%d dreq par" bus)
+        direct.Memsys.drequests par.Memsys.drequests)
+    buses direct_nocaches;
+  (* Cache replay: counters field-for-field, cycles via the paper's
+     formula and equal to the live pipeline's. *)
+  List.iter2
+    (fun (size, block, sub, penalty) live ->
+      let live = Pipeline.result live in
+      let direct = Option.get live.Pipeline.caches in
+      let pair = cache_pair (size, block, sub) in
+      let replayed =
+        List.hd (Replay.run rd { Replay.empty with caches = [ pair ] })
+          .Replay.cacheds
       in
-      check_all "seq" (Replay.run ~img rd spec);
-      check_all "par"
-        (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) ~img rd spec);
-      (match Replay.run rd { spec with Replay.buses = [ 4 ] } with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail (name "Replay.run without ~img accepted")))
+      let geo = Printf.sprintf "%d/%d/%d" size block sub in
+      Alcotest.(check bool) (name "%s cached equal" geo) true
+        (direct = replayed);
+      Alcotest.(check bool) (name "%s reference equal" geo) true
+        (direct = seq_cached rd pair);
+      Alcotest.(check int)
+        (name "%s cycles" geo)
+        live.Pipeline.stalls.Stalls.cycles
+        (Memsys.cached_cycles ~miss_penalty:penalty r replayed))
+    cache_points live_caches;
+  (* Grid engine: one decode feeding every geometry — sequential and
+     chunk-parallel both equal to independent per-geometry replays. *)
+  let seq_ok, par_ok = grid_equals_cached rd grid_geos ~jobs:3 in
+  Alcotest.(check bool) (name "grid sequential equal") true seq_ok;
+  Alcotest.(check bool) (name "grid parallel equal") true par_ok;
+  (* Pipeline model: the streamed run, the sequential per-config trace
+     replay and the multi-config grid engine (sequential and
+     chunk-parallel) all integer-equal on the standard sweep. *)
+  let cfgs = Runs.standard_uarch_configs in
+  let _, streamed = Uarch.run_many cfgs img in
+  let replayed = Replay.Seq.pipelines rd cfgs img in
+  let pipes ?map () =
+    (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
+      .Replay.pipes
+  in
+  let useq = pipes () in
+  let upar = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
+  List.iteri
+    (fun i (s : Pipeline.result) ->
+      let d = Uconfig.describe (List.nth cfgs i) in
+      let against what (p : Pipeline.result) =
+        Alcotest.(check string)
+          (name "%s %s stalls" d what)
+          (Stalls.to_string s.Pipeline.stalls)
+          (Stalls.to_string p.Pipeline.stalls);
+        Alcotest.(check bool)
+          (name "%s %s caches" d what)
+          true
+          (s.Pipeline.caches = p.Pipeline.caches)
+      in
+      against "replay" (List.nth replayed i);
+      against "grid seq" (List.nth useq i);
+      against "grid par" (List.nth upar i))
+    streamed;
+  (* Every axis at once from one decode: each sub-result byte-equal
+     to direct execution / the reference loops, sequential and
+     chunk-parallel. *)
+  let spec =
+    {
+      Replay.buses = buses;
+      caches = List.map cache_pair grid_geos;
+      pipelines = cfgs;
+    }
+  in
+  let check_all what (f : Replay.result) =
+    List.iter2
+      (fun (bus, direct) nc ->
+        Alcotest.(check bool)
+          (name "all-axis %s bus=%d" what bus)
+          true (nc = direct))
+      (List.combine spec.Replay.buses direct_nocaches)
+      f.Replay.nocaches;
+    List.iter2
+      (fun p c ->
+        Alcotest.(check bool)
+          (name "all-axis %s cached" what)
+          true
+          (c = seq_cached rd p))
+      spec.Replay.caches f.Replay.cacheds;
+    List.iteri
+      (fun i (p : Pipeline.result) ->
+        let s = List.nth streamed i in
+        Alcotest.(check string)
+          (name "all-axis %s pipe %d stalls" what i)
+          (Stalls.to_string s.Pipeline.stalls)
+          (Stalls.to_string p.Pipeline.stalls);
+        Alcotest.(check bool)
+          (name "all-axis %s pipe %d caches" what i)
+          true
+          (s.Pipeline.caches = p.Pipeline.caches))
+      f.Replay.pipes
+  in
+  check_all "seq" (Replay.run ~img rd spec);
+  check_all "par"
+    (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) ~img rd spec);
+  (match Replay.run rd { spec with Replay.buses = [ 4 ] } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail (name "Replay.run without ~img accepted"))
 
 (* Two domains capture the same path at the same moment, many rounds
    over: each writes its own temp file, the last rename wins, and the
    file left behind is a complete, verifying trace. *)
 let test_two_domains_capture () =
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       for round = 1 to 12 do
         let one () =
           let w = Trace.Writer.create ~chunk_records:1 ~insn_bytes:4 path in
@@ -926,7 +930,7 @@ let test_two_processes_capture () =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "writer_race.exe"
   in
-  with_temp (fun path ->
+  Capture.with_temp (fun path ->
       let w = Trace.Writer.create ~chunk_records:64 ~insn_bytes:4 path in
       for i = 0 to 299 do
         Trace.Writer.step w ~pc:(4 * i) ~dinfo:0

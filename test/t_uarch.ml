@@ -17,7 +17,6 @@ module Pipeline = Repro_uarch.Pipeline
 module Stalls = Repro_uarch.Stalls
 module Predecode = Repro_uarch.Predecode
 module Scoreboard = Repro_uarch.Scoreboard
-module Trace = Repro_trace.Trace
 module Replay = Repro_trace.Replay
 module Reader = Repro_trace.Trace.Reader
 module Pool = Repro_harness.Pool
@@ -32,21 +31,25 @@ let cache_points = [ (1024, 32, 4, 8); (4096, 64, 8, 12) ]
 
 let differential bench (t : Target.t) =
   let src = (Suite.find bench).Suite.source in
-  let img, r = Compile.compile_and_run ~trace:true t src in
-  let tr = Option.get r.Machine.trace in
+  let img = Compile.compile t src in
+  let r, rd = Capture.capture img in
   let name fmt =
     Printf.ksprintf (fun s -> bench ^ " " ^ t.Target.name ^ " " ^ s) fmt
   in
+  (* The pipeline model over the trace (one sequential pass per bus, all
+     its wait-state counts at once) against the closed formulas over the
+     sequential replay's counters. *)
   List.iter
     (fun bus ->
-      let nc = Memsys.replay_nocache ~bus_bytes:bus r in
-      List.iter
-        (fun l ->
-          let u =
-            (Uarch.replay (Uconfig.nocache ~bus_bytes:bus ~wait_states:l) img
-               tr)
-              .Pipeline.stalls
-          in
+      let nc = Replay.Seq.nocache rd ~bus_bytes:bus in
+      let cfgs =
+        List.map
+          (fun l -> Uconfig.nocache ~bus_bytes:bus ~wait_states:l)
+          wait_states
+      in
+      List.iter2
+        (fun l (p : Pipeline.result) ->
+          let u = p.Pipeline.stalls in
           Alcotest.(check int)
             (name "bus=%d l=%d cycles" bus l)
             (Memsys.nocache_cycles ~wait_states:l r nc)
@@ -59,20 +62,18 @@ let differential bench (t : Target.t) =
           Alcotest.(check bool)
             (name "bus=%d l=%d components sum" bus l)
             true (Stalls.consistent u))
-        wait_states)
+        wait_states
+        (Replay.Seq.pipelines rd cfgs img))
     bus_widths;
   List.iter
     (fun (size, block, sub, penalty) ->
       let cfg = Memsys.cache_config ~size ~block ~sub in
-      let c =
-        Memsys.replay_cached
-          ~insn_bytes:(Target.insn_bytes t)
-          ~icache:cfg ~dcache:cfg r
-      in
+      let c = Replay.Seq.cached ~icache:cfg ~dcache:cfg rd in
       let ures =
-        Uarch.replay
-          (Uconfig.cached ~icache:cfg ~dcache:cfg ~miss_penalty:penalty)
-          img tr
+        List.hd
+          (Replay.Seq.pipelines rd
+             [ Uconfig.cached ~icache:cfg ~dcache:cfg ~miss_penalty:penalty ]
+             img)
       in
       let uc = Option.get ures.Pipeline.caches in
       let u = ures.Pipeline.stalls in
@@ -115,12 +116,12 @@ let differential_case bench =
 
 let test_stream_equals_replay () =
   (* Feeding pipelines from the live on_insn hook must produce the same
-     result as replaying a recorded trace of the same execution. *)
+     result as replaying a recorded trace of the same program. *)
   let src = (Suite.find "queens").Suite.source in
   List.iter
     (fun t ->
-      let img, traced = Compile.compile_and_run ~trace:true t src in
-      let tr = Option.get traced.Machine.trace in
+      let img = Compile.compile t src in
+      let traced, rd = Capture.capture img in
       let cfgs =
         [
           Uconfig.nocache ~bus_bytes:4 ~wait_states:1;
@@ -129,22 +130,22 @@ let test_stream_equals_replay () =
         ]
       in
       let r, streamed = Uarch.run_many cfgs img in
-      Alcotest.(check bool) "streaming run carries no trace" true
-        (r.Machine.trace = None);
+      Alcotest.(check int) "trace holds every record" r.Machine.ic
+        (Reader.n_records rd);
       Alcotest.(check int) "same architectural ic" traced.Machine.ic
         r.Machine.ic;
       List.iter2
-        (fun cfg s ->
-          let p = Uarch.replay cfg img tr in
+        (fun cfg (s, (p : Pipeline.result)) ->
           Alcotest.(check string)
             (Uconfig.describe cfg ^ " stream = replay")
             (Stalls.to_string p.Pipeline.stalls)
             (Stalls.to_string s.Pipeline.stalls))
-        cfgs streamed)
+        cfgs
+        (List.combine streamed (Replay.Seq.pipelines rd cfgs img)))
     [ Target.d16; Target.dlxe ]
 
 let run_uarch t cfg src =
-  let img, _ = Compile.compile_and_run ~trace:false t src in
+  let img, _ = Compile.compile_and_run t src in
   (snd (Uarch.run cfg img)).Pipeline.stalls
 
 let test_attribution_load () =
@@ -323,48 +324,30 @@ let test_grid_equals_streamed () =
   List.iter
     (fun (t : Target.t) ->
       let img = Compile.compile t src in
-      let path = Filename.temp_file "repro-t-uarch" ".trc" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          let w =
-            Trace.Writer.create ~chunk_records:77
-              ~insn_bytes:(Target.insn_bytes t) path
+      let _, rd = Capture.capture ~chunk_records:77 img in
+      let _, streamed = Uarch.run_many cfgs img in
+      let pipes ?map () =
+        (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
+          .Replay.pipes
+      in
+      let seq = pipes () in
+      let par = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
+      List.iteri
+        (fun i (s : Pipeline.result) ->
+          let d = t.Target.name ^ " " ^ Uconfig.describe (List.nth cfgs i) in
+          let against what (p : Pipeline.result) =
+            Alcotest.(check string)
+              (d ^ " " ^ what ^ " stalls")
+              (Stalls.to_string s.Pipeline.stalls)
+              (Stalls.to_string p.Pipeline.stalls);
+            Alcotest.(check bool)
+              (d ^ " " ^ what ^ " caches")
+              true
+              (s.Pipeline.caches = p.Pipeline.caches)
           in
-          let _ =
-            Machine.run ~trace:false
-              ~on_insn:(fun ~iaddr ~dinfo -> Trace.Writer.step w ~pc:iaddr ~dinfo)
-              img
-          in
-          Trace.Writer.close w;
-          let rd =
-            match Reader.open_file path with
-            | Ok rd -> rd
-            | Error e -> Alcotest.fail e
-          in
-          let _, streamed = Uarch.run_many cfgs img in
-          let pipes ?map () =
-            (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
-              .Replay.pipes
-          in
-          let seq = pipes () in
-          let par = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
-          List.iteri
-            (fun i (s : Pipeline.result) ->
-              let d = t.Target.name ^ " " ^ Uconfig.describe (List.nth cfgs i) in
-              let against what (p : Pipeline.result) =
-                Alcotest.(check string)
-                  (d ^ " " ^ what ^ " stalls")
-                  (Stalls.to_string s.Pipeline.stalls)
-                  (Stalls.to_string p.Pipeline.stalls);
-                Alcotest.(check bool)
-                  (d ^ " " ^ what ^ " caches")
-                  true
-                  (s.Pipeline.caches = p.Pipeline.caches)
-              in
-              against "grid seq" (List.nth seq i);
-              against "grid par" (List.nth par i))
-            streamed))
+          against "grid seq" (List.nth seq i);
+          against "grid par" (List.nth par i))
+        streamed)
     [ Target.d16; Target.dlxe ]
 
 let test_config_validation () =
