@@ -279,9 +279,10 @@ let uarch_tests =
     Test.make ~name:"fused:8x4:queens" (Staged.stage fused);
   ]
 
-(* ISA-variant substrates (lib/isavar): what the fusion replay pass costs
-   on a stored trace (plan construction is hoisted — it is per-image, not
-   per-replay), and what the cache grid costs over a mixed-width D16m
+(* ISA-variant substrates (lib/isavar): what the fusion counters cost —
+   one execution streamed through the fusion engine, as {!Runs.fusion}
+   runs it (plan construction is hoisted — it is per-image, not
+   per-run) — and what the cache grid costs over a mixed-width D16m
    trace, whose wide fetches at [pc mod 4 = 2] straddle a 4-byte granule
    and replay as single straddle events between the runs.
    grid:d16:queens runs the same four geometries over the D16 queens
@@ -327,7 +328,13 @@ let isavar_tests =
   grid d16_rd ();
   [
     Test.make ~name:"fusion:queens"
-      (Staged.stage (fun () -> ignore (Fusion.replay plan d16_rd)));
+      (Staged.stage (fun () ->
+           let st = Fusion.stream_start plan in
+           ignore
+             (Machine.run
+                ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
+                d16_img);
+           ignore (Fusion.stream_finish st)));
     Test.make ~name:"mixed:grid:queens" (Staged.stage (grid d16m_rd));
     Test.make ~name:"grid:d16:queens" (Staged.stage (grid d16_rd));
   ]

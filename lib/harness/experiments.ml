@@ -1106,31 +1106,29 @@ let ablations : (string * Compile.ablation) list =
 let xtab1_memo = ref None
 
 (* Path-length ratios per target: (target name, (ablation name, ratio per
-   program) list) list. *)
+   program) list) list.  The unablated compile is exactly what {!Runs.stats}
+   executes, so its path length — the baseline, and the "full" row — comes
+   from there; only the ablated compiles run here. *)
 let compute_xtab1 () : (string * (string * float list) list) list =
   List.map
     (fun (t : Target.t) ->
-      let baseline =
-        List.map
-          (fun b ->
-            let _, r =
-              Compile.compile_and_run t (Suite.find b).Suite.source
-            in
-            (b, r.Machine.ic))
-          ablation_programs
-      in
       let rows =
         List.map
           (fun (name, ab) ->
             ( name,
               List.map
-                (fun (b, base_ic) ->
-                  let _, r =
-                    Compile.compile_and_run ~ablation:ab t
-                      (Suite.find b).Suite.source
+                (fun b ->
+                  let base_ic = (Runs.stats b t).Runs.ic in
+                  let ic =
+                    if ab = Compile.no_ablation then base_ic
+                    else
+                      (snd
+                         (Compile.compile_and_run ~ablation:ab t
+                            (Suite.find b).Suite.source))
+                        .Machine.ic
                   in
-                  fl r.Machine.ic /. fl base_ic)
-                baseline ))
+                  fl ic /. fl base_ic)
+                ablation_programs ))
           ablations
       in
       (t.Target.name, rows))

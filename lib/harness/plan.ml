@@ -130,8 +130,8 @@ let full () =
     List.filter (fun b -> not (List.mem b cache_names)) suite_names
   in
   (* The ISA-variant artifacts sweep the mixed-width target through the
-     same plane as the paper pair; fusion counters replay the D16 traces
-     the pair's units already capture. *)
+     same plane as the paper pair; fusion counters stream their own D16
+     execution and need no unit here. *)
   let swept = [ Target.d16; Target.dlxe; Target.d16m ] in
   union
     (trace_specs ~benches:cache_names ~targets:swept)
@@ -173,7 +173,8 @@ let for_experiment id =
          (stats_specs ~benches:suite_names ~targets:cache_pair))
   | "vtab1" | "vfig1" ->
     (* Variant table and scatter: full pipeline sweep for the three
-       machines plus D16m; fusion replays the D16 traces in-process. *)
+       machines plus D16m; fusion counters stream one D16 execution per
+       benchmark at render time. *)
     let swept = [ Target.d16; Target.dlxe; Target.d16m ] in
     let non_cache =
       List.filter (fun b -> not (List.mem b cache_names)) suite_names
@@ -184,7 +185,9 @@ let for_experiment id =
          (uarch_specs ~benches:non_cache ~targets:swept)
          (stats_specs ~benches:suite_names ~targets:swept))
   | "tab4" | "xtab1" ->
-    (* These drivers run their own traced/ablated compiles and cache the
-       derived numbers directly in {!Diskcache}. *)
+    (* These drivers run their own executions — tab4's counting runs,
+       xtab1's ablated compiles (its baselines are the stats pairs' path
+       lengths) — and cache the derived numbers directly in
+       {!Diskcache}. *)
     []
   | _ -> stats_specs ~benches:suite_names ~targets:Target.all

@@ -135,13 +135,6 @@ let grid_key bench (target : Target.t) =
       Target.describe target; knobs_descr;
     ]
 
-let geometry_key bench (target : Target.t) ~size ~block ~sub =
-  Diskcache.key
-    [
-      "cache-one"; Printf.sprintf "%d/%d/%d" size block sub; bench;
-      bench_fingerprint bench; Target.describe target; knobs_descr;
-    ]
-
 let uarch_sweep_descr =
   String.concat "," (List.map Uconfig.describe standard_uarch_configs)
 
@@ -149,13 +142,6 @@ let uarch_sweep_key bench (target : Target.t) =
   Diskcache.key
     [
       "uarch-sweep"; uarch_sweep_descr; bench; bench_fingerprint bench;
-      Target.describe target; knobs_descr;
-    ]
-
-let uarch_one_key bench (target : Target.t) cfg =
-  Diskcache.key
-    [
-      "uarch-one"; Uconfig.describe cfg; bench; bench_fingerprint bench;
       Target.describe target; knobs_descr;
     ]
 
@@ -194,9 +180,9 @@ let image bench (target : Target.t) =
 
    One capture per (benchmark, target): the architectural simulator runs
    once with the streaming [on_insn] hook feeding a {!Trace.Writer} (no
-   trace array is materialized), and every cache grid, pipeline sweep, and
-   fusion count afterwards replays the stored bytes.  Corrupt,
-   truncated, or version-skewed files read as a miss and are re-captured.
+   trace array is materialized), and every cache grid and pipeline sweep
+   afterwards replays the stored bytes.  Corrupt, truncated, or
+   version-skewed files read as a miss and are re-captured.
    With the disk cache disabled the capture goes to a temp file that is
    unlinked as soon as the reader has swallowed it. *)
 
@@ -422,37 +408,23 @@ let ensure_sweeps ?map ~grid ~uarch bench (target : Target.t) =
       uarch_entries
   end
 
+(* Every caller asks for the standard sweeps only; anything else is a
+   programming error, named in the exception. *)
 let cached bench (target : Target.t) ~size ~block ~sub =
   let key = (bench, target.Target.name, size, block, sub) in
   match with_lock (fun () -> Hashtbl.find_opt cache_tbl key) with
   | Some c -> c
   | None ->
+    if not (List.mem (size, block, sub) standard_grid) then
+      invalid_arg
+        (Printf.sprintf "Runs.cached: %d/%d/%d is not a standard_grid geometry"
+           size block sub);
     ensure_sweeps ~grid:true ~uarch:false bench target;
-    (match with_lock (fun () -> Hashtbl.find_opt cache_tbl key) with
-    | Some c -> c
-    | None ->
-      (* Off-grid geometry: one dedicated replay of the stored trace. *)
-      let c =
-        Diskcache.memo
-          (geometry_key bench target ~size ~block ~sub)
-          (fun () ->
-            match
-              (Replay.run (trace_reader bench target)
-                 {
-                   Replay.empty with
-                   caches = [ cache_pair (size, block, sub) ];
-                 })
-                .Replay.cacheds
-            with
-            | [ c ] -> c
-            | _ -> assert false)
-      in
-      with_lock (fun () -> Hashtbl.replace cache_tbl key c);
-      c)
+    with_lock (fun () -> Hashtbl.find cache_tbl key)
 
-(* Macro-op fusion counters under the default rule table: one sequential
-   pass over the stored trace through the shared chunk-decode cache, so a
-   sweep that also replays memory behaviour decodes each chunk once. *)
+(* Macro-op fusion counters under the default rule table: one execution
+   streamed through the fusion engine — the pair's stored trace, if any,
+   is not consulted. *)
 let fusion bench (target : Target.t) =
   let key = (bench, target.Target.name) in
   match with_lock (fun () -> Hashtbl.find_opt fusion_tbl key) with
@@ -460,9 +432,13 @@ let fusion bench (target : Target.t) =
   | None ->
     let c =
       Diskcache.memo (fusion_key bench target) (fun () ->
-          Fusion.replay
-            (Fusion.plan Fusion.default_rules (image bench target))
-            (trace_reader bench target))
+          let img = image bench target in
+          let st = Fusion.stream_start (Fusion.plan Fusion.default_rules img) in
+          ignore
+            (Machine.run
+               ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
+               img);
+          Fusion.stream_finish st)
     in
     with_lock (fun () -> Hashtbl.replace fusion_tbl key c);
     c
@@ -472,21 +448,9 @@ let uarch bench (target : Target.t) cfg =
   match with_lock (fun () -> Hashtbl.find_opt uarch_tbl key) with
   | Some res -> res
   | None ->
+    if not (List.mem cfg standard_uarch_configs) then
+      invalid_arg
+        ("Runs.uarch: " ^ Uconfig.describe cfg
+       ^ " is not a standard_uarch_configs configuration");
     ensure_sweeps ~grid:false ~uarch:true bench target;
-    (match with_lock (fun () -> Hashtbl.find_opt uarch_tbl key) with
-    | Some res -> res
-    | None ->
-      (* Off-sweep configuration: one dedicated trace replay. *)
-      let res =
-        Diskcache.memo (uarch_one_key bench target cfg) (fun () ->
-            match
-              (Replay.run ~img:(image bench target)
-                 (trace_reader bench target)
-                 { Replay.empty with pipelines = [ cfg ] })
-                .Replay.pipes
-            with
-            | [ res ] -> res
-            | _ -> assert false)
-      in
-      with_lock (fun () -> Hashtbl.replace uarch_tbl key res);
-      res)
+    with_lock (fun () -> Hashtbl.find uarch_tbl key)

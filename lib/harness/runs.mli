@@ -5,13 +5,13 @@
     trace-driven, mirroring the paper's dinero methodology: one captured
     execution per (benchmark, target) lands as a compressed
     {!Repro_trace.Trace} file in the store under
-    [_runs_cache/traces/], and the standard cache grid, the
-    cycle-accurate pipeline sweeps, and the fusion counters all
-    {e replay} that trace — sweep cost scales with trace I/O, not
-    architectural work.  Corrupt or version-skewed trace files read as
-    misses and are re-captured.  The suite {!stats} need only the
-    dynamic address stream and never touch the store: one execution
-    streams it through the cacheless fetch buffers.
+    [_runs_cache/traces/], and the standard cache grid and the
+    cycle-accurate pipeline sweeps both {e replay} that trace — sweep
+    cost scales with trace I/O, not architectural work.  Corrupt or
+    version-skewed trace files read as misses and are re-captured.  The
+    suite {!stats} and the {!fusion} counters need only the dynamic
+    instruction stream and never touch the store: one execution streams
+    it through their counters.
 
     Two memo layers back every accessor:
 
@@ -59,8 +59,10 @@ val cached :
 (** Cache statistics for split I/D caches of the given geometry (both caches
     identical, as in the paper's figures).  Memoized; the first request for
     a (benchmark, target) fills the whole standard grid
-    ({!ensure_sweeps} [~grid:true]); an off-grid geometry is one
-    single-pair {!Repro_trace.Replay.run} of the stored trace. *)
+    ({!ensure_sweeps} [~grid:true]).
+
+    @raise Invalid_argument naming the geometry if it is not in
+      {!standard_grid}. *)
 
 val uarch :
   string ->
@@ -71,8 +73,10 @@ val uarch :
     for one memory configuration.  Memoized (keyed structurally on the
     configuration — the render paths probe hundreds of times); the first
     request for a (benchmark, target) fills the standard sweep
-    ({!ensure_sweeps} [~uarch:true]); an off-sweep configuration is one
-    single-configuration {!Repro_trace.Replay.run} of the stored trace. *)
+    ({!ensure_sweeps} [~uarch:true]).
+
+    @raise Invalid_argument naming the configuration if it is not in
+      {!standard_uarch_configs}. *)
 
 val ensure_sweeps :
   ?map:Repro_trace.Replay.map ->
@@ -96,8 +100,9 @@ val ensure_sweeps :
 val fusion : string -> Repro_core.Target.t -> Repro_isavar.Fusion.counters
 (** Macro-op fusion counters ({!Repro_isavar.Fusion.default_rules}) for
     one (benchmark, target): dynamic op count, per-rule fused pairs, and
-    the fused interlock clock, replayed from the stored trace through the
-    shared chunk-decode cache.  Memoized in process and on disk. *)
+    the fused interlock clock, from one execution streamed through
+    {!Repro_isavar.Fusion.stream_step} — no trace is captured or
+    replayed.  Memoized in process and on disk. *)
 
 val standard_uarch_configs : Repro_uarch.Uconfig.t list
 (** Cacheless bus 4 and 8 bytes at wait states 0..3, plus 4K and 16K split

@@ -5,8 +5,6 @@ module Predecode = Repro_uarch.Predecode
 module Scoreboard = Repro_uarch.Scoreboard
 module Pipeline = Repro_uarch.Pipeline
 module Stalls = Repro_uarch.Stalls
-module Trace = Repro_trace.Trace
-module Replay = Repro_trace.Replay
 
 (* Rules. ------------------------------------------------------------------- *)
 
@@ -178,7 +176,8 @@ let flush st =
    between the halves leaves both unfused.  Fusion is greedy and
    non-overlapping: the record after a fused pair starts the next
    candidate. *)
-let step_index st idx =
+let stream_step st ~iaddr =
+  let idx = Link.index_at st.plan.img (iaddr land lnot 1) in
   st.ic <- st.ic + 1;
   if st.pending >= 0 && idx = st.pending + 1 then begin
     let r = st.plan.pair.(st.pending) in
@@ -193,9 +192,6 @@ let step_index st idx =
     else Scoreboard.step st.sb st.plan.descs.(idx)
   end
 
-let stream_step st ~iaddr =
-  step_index st (Link.index_at st.plan.img (iaddr land lnot 1))
-
 let stream_finish st =
   flush st;
   {
@@ -206,18 +202,6 @@ let stream_finish st =
     load_interlocks = Scoreboard.load_stalls st.sb;
     fp_interlocks = Scoreboard.fp_stalls st.sb;
   }
-
-let replay plan rd =
-  let st = stream_start plan in
-  for i = 0 to Trace.Reader.n_chunks rd - 1 do
-    let d = Replay.Decoded.get rd i in
-    let pcs = d.Replay.Decoded.pcs in
-    for k = 0 to Array.length pcs - 1 do
-      step_index st
-        (Link.index_at st.plan.img (Array.unsafe_get pcs k land lnot 1))
-    done
-  done;
-  stream_finish st
 
 (* Pricing. ----------------------------------------------------------------- *)
 

@@ -20,7 +20,7 @@
     A pair fuses only {e dynamically}: the first half must execute with
     the textual successor as the next executed record (a taken branch or
     a delay-slot exit between the halves leaves both unfused), and fusion
-    is greedy and non-overlapping.  With an empty rule table every engine
+    is greedy and non-overlapping.  With an empty rule table the engine
     below is byte-identical to the baseline scoreboard accounting — the
     differential suite gates on it. *)
 
@@ -65,7 +65,7 @@ val static_pairs : plan -> int
 (** {1 Counters} *)
 
 type counters = {
-  ic : int;  (** Executed instructions (trace records). *)
+  ic : int;  (** Executed instructions. *)
   fused : int;  (** Dynamically fused pairs. *)
   rule_hits : int array;  (** Per rule, in rule-list order; sums to [fused]. *)
   interlock_clock : int;  (** Fused issue clock: dynamic ops + bubbles. *)
@@ -76,16 +76,16 @@ type counters = {
 val dynamic_ops : counters -> int
 (** Ops issued: [ic - fused] — the fused path length. *)
 
-(** {1 Engines}
+(** {1 Engine}
 
-    Two entry points over the same dynamic pairing: the live
-    {!Repro_sim.Machine.run} stream and a stored trace.  The differential
-    suite gates them byte-equal to each other and to an independent
-    greedy pairing written in the test. *)
+    One engine, fed from the committed-instruction stream of one
+    {!Repro_sim.Machine.run} through its [on_insn] callback.  The
+    differential suite gates it against an independent greedy pairing
+    and, with an empty rule table, a plain scoreboard walk, both written
+    in the test. *)
 
 type stream
-(** Streaming engine state, fed from {!Repro_sim.Machine.run}'s
-    [on_insn] callback. *)
+(** Streaming engine state. *)
 
 val stream_start : plan -> stream
 
@@ -94,11 +94,6 @@ val stream_step : stream -> iaddr:int -> unit
 
 val stream_finish : stream -> counters
 (** Flush the pairing buffer and read the totals. *)
-
-val replay : plan -> Repro_trace.Trace.Reader.t -> counters
-(** Over a stored trace, through the shared chunk-decode cache
-    ({!Repro_trace.Replay.Decoded}) — one decode feeds this and any
-    concurrent memory-system replay of the same reader. *)
 
 (** {1 Pricing} *)
 

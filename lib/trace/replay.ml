@@ -10,11 +10,11 @@ module Mem = Pipeline.Mem
 (* Shared chunk decode. ------------------------------------------------------
 
    One decode per chunk feeds every automaton (caches, fetch buffers,
-   scoreboards).  Decoded chunks are cached: the varint stream is
+   scoreboard).  Decoded chunks are cached: the varint stream is
    LEB128+zigzag and costs more to walk than the automata cost to step,
-   so a sweep that touches the same chunk from several engines — or a
-   parallel replay re-fanning the same chunks out per bench iteration —
-   must not pay the decode repeatedly.  The cache is a small MRU of
+   so a second replay of the same reader — a bench repeat, or a serve
+   process answering a grid and then a pipeline sweep for one pair — must
+   not pay the decode again.  The cache is a small MRU of
    recently-replayed readers (keyed by physical reader identity) with one
    atomic slot per chunk: the slot is filled outside any lock (decoding
    is deterministic, so a racing double-decode is just redundant work,
@@ -98,148 +98,24 @@ module Decoded = struct
       d
 end
 
-(* The Automaton framework. ------------------------------------------------- *)
+(* The engine. ----------------------------------------------------------------
 
-module type Automaton = sig
-  type cfg
-  type auto
-  type summary
-  type carry
+   One pass serves every axis of a spec.  Each chunk is decoded once and
+   simulated cold, independently of every other chunk (so chunks fan out
+   across domains): the scoreboard, when pipelines are asked for, plus
+   one memory automaton per distinct behaviour class.  The chunk
+   summaries are then absorbed sequentially, in chunk order, into the
+   true carried state — the memory models replay their logged
+   boundary-sensitive prefix ({!Mem.absorb}), the scoreboard re-steps its
+   pre-convergence prefix warm and adopts the cold suffix
+   ({!Scoreboard.absorb}) — which reconstructs exactly the sequential
+   outcome. *)
 
-  val chunk_start : cfg -> auto
-  val step : auto -> Decoded.t -> unit
-  val snapshot : auto -> summary
-  val converged : summary -> bool
-  val carry : cfg -> carry
-  val absorb : carry -> summary -> unit
-end
+type chunk_result = {
+  score : Scoreboard.summary option;  (* iff pipelines were asked for *)
+  mems : Mem.summary array;  (* per distinct memory key *)
+}
 
-module Chunked (A : Automaton) = struct
-  type chunk_result = A.summary array
-
-  let chunk (cfgs : A.cfg array) rd i =
-    let d = Decoded.get rd i in
-    Array.map
-      (fun cfg ->
-        let a = A.chunk_start cfg in
-        A.step a d;
-        A.snapshot a)
-      cfgs
-
-  let merge (cfgs : A.cfg array) (chunks : chunk_result list) =
-    let carries = Array.map A.carry cfgs in
-    List.iter
-      (fun (r : chunk_result) -> Array.iteri (fun j s -> A.absorb carries.(j) s) r)
-      chunks;
-    carries
-
-  let run ?map rd (cfgs : A.cfg array) =
-    let ids = List.init (Trace.Reader.n_chunks rd) Fun.id in
-    match map with
-    | Some m -> merge cfgs (m (chunk cfgs rd) ids)
-    | None ->
-      (* Sequential replay absorbs each chunk's summaries as they are
-         produced: identical to [merge] over the full list (absorption
-         happens in the same chunk order), but the per-chunk summary
-         arrays — per-config prefix logs included — die young instead of
-         accumulating across the whole trace.  At wide sweeps (16 cache
-         geometries) the retained-list version's live set scaled as
-         chunks x configs and dominated the run in GC work. *)
-      let carries = Array.map A.carry cfgs in
-      List.iter
-        (fun i ->
-          let r = chunk cfgs rd i in
-          Array.iteri (fun j s -> A.absorb carries.(j) s) r)
-        ids;
-      carries
-end
-
-(* The unified engine. -------------------------------------------------------
-
-   One automaton covers every shipped replay: the memory-facing models
-   (fetch buffer, split I/D caches — both are {!Pipeline.Mem} behaviour
-   classes, reconciled by boundary-fetch cancellation or the cache's
-   prefix log) and the scoreboard (bounded-horizon convergence).  A
-   configuration list mixing [Cmem] and [Cscore] entries is exactly the
-   fused cross-product sweep, and {!run} below projects this engine's
-   carries onto the axes of its spec. *)
-
-module Engine = struct
-  type cfg =
-    | Cmem of { key : Mem.key; insn_bytes : int }
-    | Cscore of { img : Link.image; descs : Predecode.desc array }
-
-  type auto =
-    | Amem of { a : Mem.auto; granule : int }
-    | Ascore of {
-        ch : Scoreboard.chunk;
-        img : Link.image;
-        descs : Predecode.desc array;
-      }
-
-  type summary =
-    | Smem of Mem.summary
-    | Sscore of { s : Scoreboard.summary; converged : bool }
-
-  type carry =
-    | Kmem of Mem.carry
-    | Kscore of { sb : Scoreboard.t; descs : Predecode.desc array }
-
-  let chunk_start = function
-    | Cmem { key; insn_bytes } ->
-      Amem
-        { a = Mem.chunk_start ~insn_bytes key; granule = Mem.event_bytes key }
-    | Cscore { img; descs } ->
-      let t = img.Link.target in
-      Ascore
-        {
-          ch = Scoreboard.chunk_start ~n_gpr:t.Target.n_gpr ~n_fpr:t.Target.n_fpr;
-          img;
-          descs;
-        }
-
-  let step a (d : Decoded.t) =
-    match a with
-    | Amem { a; granule } ->
-      let events, count_bits = Decoded.fetches d ~granule in
-      Mem.step a events ~count_bits ~dinfos:d.Decoded.dinfos
-    | Ascore { ch; img; descs } ->
-      let pcs = d.Decoded.pcs in
-      for k = 0 to Array.length pcs - 1 do
-        (* Strip the wide-instruction mark (bit 0) before the index
-           lookup; the scoreboard itself is size-blind. *)
-        let idx = Link.index_at img (Array.unsafe_get pcs k land lnot 1) in
-        Scoreboard.chunk_step ch ~index:idx (Array.unsafe_get descs idx)
-      done
-
-  let snapshot = function
-    | Amem { a; _ } -> Smem (Mem.chunk_finish a)
-    | Ascore { ch; _ } ->
-      let converged = Scoreboard.convergence ch <> None in
-      Sscore { s = Scoreboard.chunk_finish ch; converged }
-
-  let converged = function
-    | Smem _ -> true  (* prefix-log reconciliation never re-steps whole *)
-    | Sscore { converged; _ } -> converged
-
-  let carry = function
-    | Cmem { key; _ } -> Kmem (Mem.carry_start key)
-    | Cscore { img; descs } ->
-      let t = img.Link.target in
-      Kscore
-        { sb = Scoreboard.create ~n_gpr:t.Target.n_gpr ~n_fpr:t.Target.n_fpr;
-          descs }
-
-  let absorb c s =
-    match (c, s) with
-    | Kmem c, Smem s -> Mem.absorb c s
-    | Kscore { sb; descs }, Sscore { s; _ } -> Scoreboard.absorb sb descs s
-    | _ -> invalid_arg "Replay: summary from a different automaton kind"
-end
-
-module E = Chunked (Engine)
-
-type chunk_result = E.chunk_result
 type map = (int -> chunk_result) -> int list -> chunk_result list
 
 type cache_pair = { icache : Memsys.cache_config; dcache : Memsys.cache_config }
@@ -287,23 +163,52 @@ let dedup_keys keys =
   in
   (Array.of_list (List.rev_map fst !seen), Array.of_list of_item)
 
-let mem_carry = function
-  | Engine.Kmem c -> c
-  | Engine.Kscore _ -> assert false
+let n_regs (img : Link.image) =
+  let t = img.Link.target in
+  (t.Target.n_gpr, t.Target.n_fpr)
+
+(* Cold-simulate chunk [i]: independent of every other chunk. *)
+let chunk ~score ~insn_bytes keys rd i =
+  let d = Decoded.get rd i in
+  let score =
+    Option.map
+      (fun (img, descs) ->
+        let n_gpr, n_fpr = n_regs img in
+        let ch = Scoreboard.chunk_start ~n_gpr ~n_fpr in
+        let pcs = d.Decoded.pcs in
+        for k = 0 to Array.length pcs - 1 do
+          (* Strip the wide-instruction mark (bit 0) before the index
+             lookup; the scoreboard itself is size-blind. *)
+          let idx = Link.index_at img (Array.unsafe_get pcs k land lnot 1) in
+          Scoreboard.chunk_step ch ~index:idx (Array.unsafe_get descs idx)
+        done;
+        Scoreboard.chunk_finish ch)
+      score
+  in
+  let mems =
+    Array.map
+      (fun key ->
+        let a = Mem.chunk_start ~insn_bytes key in
+        let events, count_bits =
+          Decoded.fetches d ~granule:(Mem.event_bytes key)
+        in
+        Mem.step a events ~count_bits ~dinfos:d.Decoded.dinfos;
+        Mem.chunk_finish a)
+      keys
+  in
+  { score; mems }
 
 let run ?map ?img rd spec =
   match spec with
   | { buses = []; caches = []; pipelines = [] } ->
     { nocaches = []; cacheds = []; pipes = [] }
   | _ ->
-    (* The scoreboard, when pipelines are asked for, is configuration 0
-       and shared by all of them (interlocks depend only on the
-       instruction stream); memory classes follow in key order. *)
-    let score_cfgs =
+    (* The scoreboard, when pipelines are asked for, is shared by all of
+       them: interlocks depend only on the instruction stream. *)
+    let score =
       match (spec.pipelines, img) with
-      | [], _ -> [||]
-      | _ :: _, Some img ->
-        [| Engine.Cscore { img; descs = Predecode.table img } |]
+      | [], _ -> None
+      | _ :: _, Some img -> Some (img, Predecode.table img)
       | _ :: _, None ->
         invalid_arg "Replay.run: pipeline configurations need ~img"
     in
@@ -313,30 +218,47 @@ let run ?map ?img rd spec =
         @ List.map cached_key spec.caches
         @ List.map Mem.key spec.pipelines)
     in
-    let insn_bytes = Trace.Reader.insn_bytes rd in
-    let carries =
-      E.run ?map rd
-        (Array.append score_cfgs
-           (Array.map (fun key -> Engine.Cmem { key; insn_bytes }) keys))
+    let chunk = chunk ~score ~insn_bytes:(Trace.Reader.insn_bytes rd) keys rd in
+    let warm =
+      Option.map
+        (fun (img, descs) ->
+          let n_gpr, n_fpr = n_regs img in
+          (Scoreboard.create ~n_gpr ~n_fpr, descs))
+        score
     in
-    let base = Array.length score_cfgs in
-    let carry_of i = mem_carry carries.(base + of_item.(i)) in
+    let carries = Array.map Mem.carry_start keys in
+    let absorb r =
+      (match (warm, r.score) with
+      | Some (sb, descs), Some s -> Scoreboard.absorb sb descs s
+      | _ -> ());
+      Array.iteri (fun j s -> Mem.absorb carries.(j) s) r.mems
+    in
+    let ids = List.init (Trace.Reader.n_chunks rd) Fun.id in
+    (match map with
+    | Some m -> List.iter absorb (m chunk ids)
+    | None ->
+      (* Sequential replay absorbs each chunk as it is produced: the same
+         chunk order as absorbing the full list, but the summaries —
+         per-key prefix logs included — die young instead of
+         accumulating across the whole trace.  At wide sweeps (16 cache
+         geometries) the retained list's live set scaled as chunks x
+         keys and dominated the run in GC work. *)
+      List.iter (fun i -> absorb (chunk i)) ids);
+    let carry_of i = carries.(of_item.(i)) in
     let nb = List.length spec.buses in
     let nc = List.length spec.caches in
     let pipes =
-      if base = 0 then []
-      else
-        match carries.(0) with
-        | Engine.Kscore { sb; _ } ->
-          let ic = Trace.Reader.n_records rd in
-          List.mapi
-            (fun i cfg ->
-              Mem.charge (carry_of (nb + nc + i)) cfg ~ic
-                ~interlock_clock:(Scoreboard.clock sb)
-                ~load_interlocks:(Scoreboard.load_stalls sb)
-                ~fp_interlocks:(Scoreboard.fp_stalls sb))
-            spec.pipelines
-        | Engine.Kmem _ -> assert false
+      match warm with
+      | None -> []
+      | Some (sb, _) ->
+        let ic = Trace.Reader.n_records rd in
+        List.mapi
+          (fun i cfg ->
+            Mem.charge (carry_of (nb + nc + i)) cfg ~ic
+              ~interlock_clock:(Scoreboard.clock sb)
+              ~load_interlocks:(Scoreboard.load_stalls sb)
+              ~fp_interlocks:(Scoreboard.fp_stalls sb))
+          spec.pipelines
     in
     {
       nocaches =
@@ -348,9 +270,9 @@ let run ?map ?img rd spec =
       pipes;
     }
 
-(* Reference implementations: the plain sequential per-record loops the
-   chunk engines replaced, kept as independent baselines for the
-   differential suite (they share no code with the framework above). *)
+(* Reference implementations: plain sequential per-record loops, kept as
+   independent baselines for the differential suite (they share no code
+   with the chunk engine above). *)
 
 module Seq = struct
   let nocache rd ~bus_bytes =

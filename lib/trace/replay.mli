@@ -9,27 +9,26 @@
     differential suite in [test/t_trace.ml] gates on byte-identical
     counters.
 
-    {1 The chunk-parallel framework}
+    {1 The chunk engine}
 
-    {!run} drives one automaton through the same recipe any engine
-    built on this framework follows:
+    {!run} works chunk by chunk:
 
     + {b decode} each trace chunk once into flat arrays ({!Decoded}),
       shared by every automaton fed from that chunk;
-    + {b cold-simulate} each chunk independently — an {!Automaton} starts
-      from a state that assumes nothing about the carried-in state and
-      records whatever boundary bookkeeping its reconciliation needs
-      (a prefix log of boundary-sensitive events, or a convergence
-      point past which cold provably equals warm);
-    + {b merge} sequentially, in chunk order: fold each chunk's summary
-      into the true carried state ([absorb]), replaying only the logged
-      prefix — never the whole chunk, unless it never converged.
+    + {b cold-simulate} each chunk independently: the scoreboard (when
+      pipelines are asked for) and one {!Repro_uarch.Pipeline.Mem}
+      automaton per distinct memory behaviour, each starting from a state
+      that assumes nothing about the carried-in state and recording the
+      boundary bookkeeping its reconciliation needs — a prefix log of
+      boundary-sensitive events (caches, fetch buffers) or a convergence
+      point past which cold provably equals warm (the scoreboard);
+    + {b absorb} sequentially, in chunk order: fold each chunk's summaries
+      into the true carried state, replaying only the logged prefix —
+      never the whole chunk, unless the scoreboard never converged.
 
-    The {!Chunked} functor packages steps 1–3 so an engine only supplies
-    its automaton; exactness is the automaton's contract ([absorb] must
-    reconstruct precisely the sequential outcome), and the differential
-    suite gates every shipped instance on byte-equality to direct
-    execution, chunk-parallel equal to sequential. *)
+    The cold step is independent per chunk, so [?map] may fan chunks out
+    across domains; absorption reconstructs exactly the sequential
+    outcome. *)
 
 (** One trace chunk decoded into flat arrays, shared by every automaton.
 
@@ -45,11 +44,11 @@
     replays a run in one step: the first fetch decides, the rest are
     hits.
 
-    Decoded chunks are cached (a small MRU over recently-replayed
-    readers, lock-free per-chunk slots), so passes that revisit a trace
-    (the fusion counters after a sweep, or a parallel replay fanning the
-    same chunks out repeatedly) decode the varint stream once, not once
-    per pass. *)
+    {!run} decodes through a cache (a small MRU over recently-replayed
+    readers, lock-free per-chunk slots), so a second {!run} over the same
+    reader — a bench repeat, or a serve process answering a grid request
+    and then a separate pipeline-sweep request for the same pair —
+    decodes the varint stream once, not once per pass. *)
 module Decoded : sig
   type t = {
     pcs : int array;  (** Every record's fetch address, in order. *)
@@ -63,96 +62,7 @@ module Decoded : sig
 
   val of_chunk : Trace.Reader.t -> int -> t
   (** Decode chunk [i], bypassing the cache. *)
-
-  val get : Trace.Reader.t -> int -> t
-  (** Decode chunk [i] through the shared cache: the first caller (in any
-      domain) decodes, everyone else reuses the arrays. *)
 end
-
-(** What an engine supplies: a per-chunk cold automaton plus the
-    sequential reconciliation that makes chunk-parallel execution exact.
-
-    [chunk_start]/[step]/[snapshot] run inside a chunk, potentially on
-    another domain, with {e unknown} carried-in state; [carry]/[absorb]
-    run sequentially, in chunk order, and must reconstruct exactly the
-    state and totals a sequential replay would have produced.  The two
-    shipped reconciliation strategies are both expressible:
-
-    - {e prefix log} ({!Repro_sim.Memsys.Cache}, the fetch buffer):
-      the summary carries the boundary-sensitive events, [absorb]
-      replays just those against the true carried state;
-    - {e bounded-horizon convergence} ({!Repro_uarch.Scoreboard}): the
-      summary carries the pre-convergence prefix, [absorb] re-steps it
-      warm and adopts the cold suffix verbatim (falling back to a full
-      re-step if the chunk never converged). *)
-module type Automaton = sig
-  type cfg
-  (** One configuration of the model (geometry, bus width, ...). *)
-
-  type auto
-  (** One chunk's cold automaton. *)
-
-  type summary
-  (** Immutable chunk result: cold counters plus whatever reconciliation
-      needs.  Safe to move across domains. *)
-
-  type carry
-  (** Sequential merge state: the true state carried across chunk
-      boundaries plus the accumulated totals. *)
-
-  val chunk_start : cfg -> auto
-
-  val step : auto -> Decoded.t -> unit
-  (** Advance the cold automaton over one decoded chunk. *)
-
-  val snapshot : auto -> summary
-  (** Freeze the chunk's outcome; the automaton is dead afterwards. *)
-
-  val converged : summary -> bool
-  (** Whether [absorb] can adopt the chunk's cold suffix (prefix-only
-      reconciliation) or must re-step the whole chunk.  Advisory — the
-      merge is exact either way — but a diagnostic for chunk-size
-      tuning, and a hook the functor tests assert on. *)
-
-  val carry : cfg -> carry
-  (** The merge state before any chunk: the stream's true initial state. *)
-
-  val absorb : carry -> summary -> unit
-  (** Fold the next chunk's summary, in stream order. *)
-end
-
-(** Exact chunk-parallel execution for any {!Automaton}: decode each
-    chunk once ({!Decoded.get}), feed every configuration's cold
-    automaton from the same arrays, then reconcile sequentially per
-    configuration. *)
-module Chunked (A : Automaton) : sig
-  type chunk_result = A.summary array
-  (** Per-configuration summaries for one chunk. *)
-
-  val chunk : A.cfg array -> Trace.Reader.t -> int -> chunk_result
-  (** Cold-simulate every configuration over chunk [i].  Independent of
-      every other chunk — safe to fan out across domains. *)
-
-  val merge : A.cfg array -> chunk_result list -> A.carry array
-  (** Sequential reconciliation, in chunk order, per configuration. *)
-
-  val run :
-    ?map:((int -> chunk_result) -> int list -> chunk_result list) ->
-    Trace.Reader.t ->
-    A.cfg array ->
-    A.carry array
-  (** The whole trace: [map] distributes the per-chunk work (default
-      [List.map]); pass [Repro_harness.Pool.map ~pool] or [~jobs] to fan
-      chunks out across domains. *)
-end
-
-type chunk_result
-(** One chunk's summaries under the unified automaton {!run} drives. *)
-
-type map = (int -> chunk_result) -> int list -> chunk_result list
-(** The scheduler hook for {!run}: how per-chunk work is distributed
-    (default [List.map]; pass [Repro_harness.Pool.map ~pool] or [~jobs]
-    to fan chunks out across domains). *)
 
 (** {1 The replay engine} *)
 
@@ -181,6 +91,15 @@ type result = {
       (** Per pipeline configuration, in order. *)
 }
 
+type chunk_result
+(** One chunk's cold summaries: the scoreboard's and each memory
+    automaton's. *)
+
+type map = (int -> chunk_result) -> int list -> chunk_result list
+(** The scheduler hook for {!run}: how per-chunk work is distributed
+    (default [List.map]; pass [Repro_harness.Pool.map ~pool] or [~jobs]
+    to fan chunks out across domains). *)
+
 val run :
   ?map:map ->
   ?img:Repro_link.Link.image ->
@@ -207,10 +126,10 @@ val run :
       [?img] was given (the pipeline model needs the image's instruction
       descriptors). *)
 
-(** Reference implementations: the plain sequential per-record loops the
-    chunk engines replaced.  They share nothing with the {!Chunked}
-    framework — no decode cache, no automata, no reconciliation — so the
-    differential suite uses them as independent baselines. *)
+(** Reference implementations: plain sequential per-record loops.  They
+    share nothing with the chunk engine — no decode cache, no automata,
+    no reconciliation — so the differential suite uses them as
+    independent baselines. *)
 module Seq : sig
   val nocache : Trace.Reader.t -> bus_bytes:int -> Repro_sim.Memsys.nocache
 

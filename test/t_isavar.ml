@@ -243,36 +243,18 @@ let greedy_hits rules (img : Link.image) idxs =
   walk idxs;
   hits
 
-let check_counters name (a : Fusion.counters) (b : Fusion.counters) =
-  Alcotest.(check int) (name ^ " ic") a.Fusion.ic b.Fusion.ic;
-  Alcotest.(check int) (name ^ " fused") a.Fusion.fused b.Fusion.fused;
-  Alcotest.(check (list int))
-    (name ^ " rule_hits")
-    (Array.to_list a.Fusion.rule_hits)
-    (Array.to_list b.Fusion.rule_hits);
-  Alcotest.(check int)
-    (name ^ " interlock_clock")
-    a.Fusion.interlock_clock b.Fusion.interlock_clock;
-  Alcotest.(check int)
-    (name ^ " load_interlocks")
-    a.Fusion.load_interlocks b.Fusion.load_interlocks;
-  Alcotest.(check int)
-    (name ^ " fp_interlocks")
-    a.Fusion.fp_interlocks b.Fusion.fp_interlocks
-
 let fusion_check what (img : Link.image) =
   let t = img.Link.target in
   let name s = what ^ " " ^ t.Target.name ^ " " ^ s in
   let empty = Fusion.plan [] img in
   let plan = Fusion.plan Fusion.default_rules img in
-  (* One execution, captured to a trace, feeding both plans' streamed
-     engines live and recording the executed addresses for the
-     oracles. *)
+  (* One execution feeding both plans' engines live and recording the
+     executed addresses for the oracles. *)
   let empty_st = Fusion.stream_start empty in
   let st = Fusion.stream_start plan in
   let executed = ref [] in
-  let r, rd =
-    Capture.capture ~chunk_records:10_000
+  let r =
+    Machine.run
       ~on_insn:(fun ~iaddr ~dinfo:_ ->
         executed := iaddr :: !executed;
         Fusion.stream_step empty_st ~iaddr;
@@ -281,47 +263,34 @@ let fusion_check what (img : Link.image) =
   in
   let iaddrs = Array.of_list (List.rev !executed) in
   let streamed = Fusion.stream_finish st in
-  (* Empty rule table: every engine must be byte-equal to the plain
+  (* Empty rule table: the engine must be byte-equal to the plain
      scoreboard walk — the pairing machinery must be invisible. *)
   Alcotest.(check int) (name "empty static_pairs") 0
     (Fusion.static_pairs empty);
   let clock, loads, fps = baseline_walk img iaddrs in
-  let against_baseline what (c : Fusion.counters) =
-    Alcotest.(check int) (name (what ^ " ic")) r.Machine.ic c.Fusion.ic;
-    Alcotest.(check int) (name (what ^ " fused")) 0 c.Fusion.fused;
-    Alcotest.(check int) (name (what ^ " clock")) clock
-      c.Fusion.interlock_clock;
-    Alcotest.(check int) (name (what ^ " loads")) loads
-      c.Fusion.load_interlocks;
-    Alcotest.(check int) (name (what ^ " fps")) fps c.Fusion.fp_interlocks;
-    Alcotest.(check int)
-      (name (what ^ " dynamic_ops"))
-      r.Machine.ic (Fusion.dynamic_ops c)
-  in
-  against_baseline "empty replay" (Fusion.replay empty rd);
-  against_baseline "empty streamed" (Fusion.stream_finish empty_st);
-  (* Shipped rules: both engines agree field-for-field, their pairing
-     equals the greedy oracle's, per-rule counters sum to the fused
-     total, and the accounting is conservative (a pair removes
-     exactly one issued op). *)
-  let replayed = Fusion.replay plan rd in
-  check_counters (name "default streamed=replay") streamed replayed;
+  let c = Fusion.stream_finish empty_st in
+  Alcotest.(check int) (name "empty ic") r.Machine.ic c.Fusion.ic;
+  Alcotest.(check int) (name "empty fused") 0 c.Fusion.fused;
+  Alcotest.(check int) (name "empty clock") clock c.Fusion.interlock_clock;
+  Alcotest.(check int) (name "empty loads") loads c.Fusion.load_interlocks;
+  Alcotest.(check int) (name "empty fps") fps c.Fusion.fp_interlocks;
+  Alcotest.(check int) (name "empty dynamic_ops") r.Machine.ic
+    (Fusion.dynamic_ops c);
+  (* Shipped rules: the pairing equals the greedy oracle's, per-rule
+     counters sum to the fused total, and the accounting is conservative
+     (a pair removes exactly one issued op). *)
   let hits =
     greedy_hits Fusion.default_rules img
       (Array.to_list
          (Array.map (fun ia -> Link.index_at img (ia land lnot 1)) iaddrs))
   in
-  List.iter
-    (fun (what, (c : Fusion.counters)) ->
-      Alcotest.(check int)
-        (name (what ^ " fused = greedy"))
-        (Array.fold_left ( + ) 0 hits)
-        c.Fusion.fused;
-      Alcotest.(check (list int))
-        (name (what ^ " rule_hits = greedy"))
-        (Array.to_list hits)
-        (Array.to_list c.Fusion.rule_hits))
-    [ ("streamed", streamed); ("replay", replayed) ];
+  Alcotest.(check int) (name "fused = greedy")
+    (Array.fold_left ( + ) 0 hits)
+    streamed.Fusion.fused;
+  Alcotest.(check (list int))
+    (name "rule_hits = greedy")
+    (Array.to_list hits)
+    (Array.to_list streamed.Fusion.rule_hits);
   Alcotest.(check int)
     (name "rule_hits sum to fused")
     streamed.Fusion.fused
@@ -345,8 +314,8 @@ let fusion_differential bench (t : Target.t) =
 
 let fusion_case bench =
   Alcotest.test_case ("fusion differential " ^ bench) `Slow (fun () ->
-      (* D16m runs the same pass over wide-marked addresses — the stream
-         and replay engines must strip the mark bit identically. *)
+      (* D16m runs the same pass over wide-marked addresses — the engine
+         must strip the mark bit as the oracles do. *)
       List.iter (fusion_differential bench) [ Target.d16; Target.d16m ])
 
 (* A taken branch between the halves.  The delay slot's [mvi r6] matches
@@ -369,8 +338,12 @@ let test_fusion_taken_branch () =
   let img = Link.link Target.d16 [ { Asm.fn_name = "main"; items } ] [] in
   let plan = Fusion.plan Fusion.default_rules img in
   (* The startup stub's [ldc r0; mv r2, r0] and main's first pair. *)
+  let st = Fusion.stream_start plan in
+  ignore
+    (Machine.run ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
+       img);
   Alcotest.(check int) "two dynamic pairs" 2
-    (Fusion.replay plan (snd (Capture.capture img))).Fusion.fused;
+    (Fusion.stream_finish st).Fusion.fused;
   fusion_check "taken branch" img
 
 let test_merge () =

@@ -12,6 +12,7 @@ module Experiments = Repro_harness.Experiments
 module Memsys = Repro_sim.Memsys
 module Replay = Repro_trace.Replay
 module Trace = Repro_trace.Trace
+module Fusion = Repro_isavar.Fusion
 
 (* Route the persistent cache to a throwaway directory so the tests never
    see (or pollute) a developer's _runs_cache. *)
@@ -215,6 +216,42 @@ let test_stats_match_replay () =
           Alcotest.(check int) (name "ic") (Trace.Reader.n_records rd) s.Runs.ic)
         pairs stats)
 
+(* Fusion counters come from one streamed execution, never from the trace
+   store: on an empty cache they equal a direct stream over the same image,
+   and no trace is captured. *)
+let test_fusion_streams () =
+  with_temp_cache (fun () ->
+      Runs.clear_memo ();
+      let got = Runs.fusion "queens" Target.d16 in
+      let img = Runs.image "queens" Target.d16 in
+      let st = Fusion.stream_start (Fusion.plan Fusion.default_rules img) in
+      ignore
+        (Repro_sim.Machine.run
+           ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
+           img);
+      Alcotest.(check bool) "counters = direct stream" true
+        (got = Fusion.stream_finish st);
+      let traces = Filename.concat (Diskcache.dir ()) "traces" in
+      Alcotest.(check (list string))
+        "fusion leaves no file under traces/" []
+        (if Sys.file_exists traces then Array.to_list (Sys.readdir traces)
+         else []))
+
+(* Only the standard sweeps are measured; anything else is rejected by
+   name before any compile or replay. *)
+let test_off_standard_rejected () =
+  Alcotest.check_raises "off-grid geometry"
+    (Invalid_argument
+       "Runs.cached: 512/32/4 is not a standard_grid geometry")
+    (fun () ->
+      ignore (Runs.cached "queens" Target.d16 ~size:512 ~block:32 ~sub:4));
+  let cfg = Repro_uarch.Uconfig.nocache ~bus_bytes:2 ~wait_states:0 in
+  Alcotest.check_raises "off-sweep configuration"
+    (Invalid_argument
+       ("Runs.uarch: " ^ Repro_uarch.Uconfig.describe cfg
+      ^ " is not a standard_uarch_configs configuration"))
+    (fun () -> ignore (Runs.uarch "queens" Target.d16 cfg))
+
 let test_key_invalidation () =
   (* Changing the target description must change the key: a cache entry
      written for one machine can never answer for another. *)
@@ -293,6 +330,10 @@ let tests =
     Alcotest.test_case "trace store regenerates" `Slow
       test_trace_store_regenerates;
     Alcotest.test_case "stats = nocache replay" `Slow test_stats_match_replay;
+    Alcotest.test_case "fusion streams, captures nothing" `Slow
+      test_fusion_streams;
+    Alcotest.test_case "off-standard request rejected" `Quick
+      test_off_standard_rejected;
     Alcotest.test_case "key invalidation" `Quick test_key_invalidation;
     Alcotest.test_case "parallel = serial output" `Slow
       test_parallel_determinism;

@@ -150,7 +150,7 @@ let seq_cached rd (p : Replay.cache_pair) =
 let grid_equals_cached rd geometries ~jobs =
   let caches = List.map cache_pair geometries in
   (* The expectation comes from the plain per-record reference loop
-     ([Replay.Seq]), which shares nothing with the chunked framework. *)
+     ([Replay.Seq]), which shares nothing with the chunk engine. *)
   let expect = List.map (seq_cached rd) caches in
   let cacheds ?map caches =
     (Replay.run ?map rd { Replay.empty with caches }).Replay.cacheds
@@ -359,142 +359,6 @@ let synthetic_upipelines =
                   && run ?map all_axes = all_expect)
                 [ None; par ]))
         (Lazy.force images))
-
-(* The Chunked functor itself, on a synthetic automaton with no
-   microarchitecture behind it: a decaying stall counter.  Every record
-   with positive slack stalls and decays it; any nonzero pc divisible by
-   [period] resets slack to [horizon].  A cold chunk converges at the first reset
-   (the state becomes carried-independent) or after [horizon] records
-   (any warm slack has decayed away) — bounded-horizon reconciliation in
-   miniature, with the no-convergence whole-chunk re-step fallback
-   exercised by a period larger than any generated pc. *)
-module Counter_auto = struct
-  type cfg = { period : int; horizon : int }
-
-  type auto = {
-    c : cfg;
-    mutable slack : int;
-    mutable stalls : int;
-    mutable seen : int;
-    mutable conv : int option;
-    mutable prefix : int list;  (* reversed pcs before convergence *)
-    mutable stalls_at_conv : int;
-  }
-
-  type summary = {
-    s_conv : int option;
-    s_prefix : int array;
-    s_stalls_at_conv : int;
-    s_stalls : int;
-    s_end_slack : int;
-  }
-
-  type carry = { k : cfg; mutable k_slack : int; mutable k_stalls : int }
-
-  let resets (c : cfg) pc = pc <> 0 && pc mod c.period = 0
-
-  let advance (c : cfg) ~slack ~stalls pc =
-    let slack, stalls =
-      if slack > 0 then (slack - 1, stalls + 1) else (slack, stalls)
-    in
-    ((if resets c pc then c.horizon else slack), stalls)
-
-  let chunk_start c =
-    {
-      c; slack = 0; stalls = 0; seen = 0; conv = None; prefix = [];
-      stalls_at_conv = 0;
-    }
-
-  let step a (d : Replay.Decoded.t) =
-    Array.iter
-      (fun pc ->
-        if a.conv = None then a.prefix <- pc :: a.prefix;
-        let slack, stalls = advance a.c ~slack:a.slack ~stalls:a.stalls pc in
-        a.slack <- slack;
-        a.stalls <- stalls;
-        a.seen <- a.seen + 1;
-        if a.conv = None && (resets a.c pc || a.seen >= a.c.horizon)
-        then begin
-          a.conv <- Some a.seen;
-          a.stalls_at_conv <- a.stalls
-        end)
-      d.Replay.Decoded.pcs
-
-  let snapshot a =
-    {
-      s_conv = a.conv;
-      s_prefix = Array.of_list (List.rev a.prefix);
-      s_stalls_at_conv =
-        (match a.conv with Some _ -> a.stalls_at_conv | None -> a.stalls);
-      s_stalls = a.stalls;
-      s_end_slack = a.slack;
-    }
-
-  let converged s = s.s_conv <> None
-  let carry c = { k = c; k_slack = 0; k_stalls = 0 }
-
-  let absorb k s =
-    (* Re-step the pre-convergence prefix warm (the whole chunk if it
-       never converged), then adopt the cold suffix verbatim. *)
-    Array.iter
-      (fun pc ->
-        let slack, stalls = advance k.k ~slack:k.k_slack ~stalls:k.k_stalls pc in
-        k.k_slack <- slack;
-        k.k_stalls <- stalls)
-      s.s_prefix;
-    match s.s_conv with
-    | None -> ()
-    | Some _ ->
-      k.k_stalls <- k.k_stalls + (s.s_stalls - s.s_stalls_at_conv);
-      k.k_slack <- s.s_end_slack
-end
-
-module Counter_chunked = Replay.Chunked (Counter_auto)
-
-let counter_direct (c : Counter_auto.cfg) records =
-  List.fold_left
-    (fun (slack, stalls) (pc, _) -> Counter_auto.advance c ~slack ~stalls pc)
-    (0, 0) records
-
-let synthetic_counter =
-  let cfgs =
-    [|
-      { Counter_auto.period = 5; horizon = 9 };
-      { Counter_auto.period = 7; horizon = 3 };
-      (* Larger than any generated pc: never resets, so only chunks long
-         enough to outlive the horizon converge. *)
-      { Counter_auto.period = 0x1FF_FFFF; horizon = 4 };
-    |]
-  in
-  QCheck.Test.make
-    ~name:"Chunked functor: synthetic counter, parallel = sequential = direct"
-    ~count:60
-    (QCheck.make QCheck.Gen.(list_size (int_bound 200) gen_record))
-    (fun records ->
-      Capture.with_temp (fun path ->
-          let rd, _ = roundtrip ~chunk_records:7 records path in
-          let state (k : Counter_auto.carry) =
-            (k.Counter_auto.k_slack, k.Counter_auto.k_stalls)
-          in
-          let seq = Array.map state (Counter_chunked.run rd cfgs) in
-          let par =
-            Array.map state
-              (Counter_chunked.run
-                 ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
-                 rd cfgs)
-          in
-          let direct = Array.map (fun c -> counter_direct c records) cfgs in
-          (* The convergence hook: the never-resetting config converges
-             exactly on chunks that outlive its horizon. *)
-          let horizons_ok =
-            List.for_all
-              (fun i ->
-                let s = (Counter_chunked.chunk cfgs rd i).(2) in
-                Counter_auto.converged s
-                = ((Reader.chunk rd i).Reader.n_records >= 4))
-              (List.init (Reader.n_chunks rd) Fun.id)
-          in
-          seq = direct && par = direct && horizons_ok))
 
 (* Real compiled programs, via the statement fuzzer's generator. *)
 let progfuzz_roundtrip () =
@@ -982,7 +846,6 @@ let tests =
     Alcotest.test_case "fetch events at granule edges" `Quick
       test_fetch_events;
     QCheck_alcotest.to_alcotest synthetic_upipelines;
-    QCheck_alcotest.to_alcotest synthetic_counter;
     Alcotest.test_case "compiled programs roundtrip" `Slow progfuzz_roundtrip;
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
