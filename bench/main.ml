@@ -266,6 +266,18 @@ let uarch_tests =
              pipelines = take 4 grid_cfgs;
            })
   in
+  (* The same spec as fused:8x4 from the execution itself: one run of
+     queens whose records feed the chunk engine directly, with no trace
+     written or decoded — what a cold sweep in the harness runs.  CI
+     tracks live:8x4 < trace-capture + fused:8x4, the capture-then-replay
+     it replaces. *)
+  let live () =
+    ignore
+      (Replay.stream ~img ~insn_bytes:2
+         { Replay.empty with caches = fused_caches; pipelines = take 4 grid_cfgs }
+         (fun hook ->
+           Machine.run ~on_insn:(fun ~iaddr ~dinfo -> hook ~pc:iaddr ~dinfo) img))
+  in
   [
     (* The sequential oracle, one configuration per pass. *)
     Test.make ~name:"uarch-replay:nocache:queens"
@@ -277,6 +289,7 @@ let uarch_tests =
     Test.make ~name:"uarch-grid:4cfg:queens" (Staged.stage (uarch_grid 4));
     Test.make ~name:"uarch-grid:8cfg:queens" (Staged.stage (uarch_grid 8));
     Test.make ~name:"fused:8x4:queens" (Staged.stage fused);
+    Test.make ~name:"live:8x4:queens" (Staged.stage live);
   ]
 
 (* ISA-variant substrates (lib/isavar): what the fusion counters cost —

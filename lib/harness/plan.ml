@@ -14,7 +14,6 @@ let stats_specs ~benches ~targets = specs_of Stats ~benches ~targets
 let grid_specs ~benches ~targets = specs_of Grid ~benches ~targets
 let uarch_specs ~benches ~targets = specs_of Uarch ~benches ~targets
 let fused_specs ~benches ~targets = specs_of Fused ~benches ~targets
-let trace_specs ~benches ~targets = specs_of Trace ~benches ~targets
 let spec_id s = (s.bench, s.target.Target.name, s.kind)
 
 let dedup plan =
@@ -117,32 +116,29 @@ let suite_names = List.map (fun b -> b.Suite.name) Suite.all
 let cache_names =
   List.map (fun b -> b.Suite.name) Suite.cache_benchmarks
 
-(* Trace captures go first: the cache-benchmark captures are the long
-   poles (their fused sweeps replay the stored trace), so under a parallel
-   pool they start immediately.  The cache benchmarks then take one fused
-   sweep each — a single decode feeds all 25 grid geometries plus the
-   full pipeline-configuration sweep — the rest of the suite takes plain
-   uarch sweeps (each captures its pair's trace on first contact), then
-   stats, which execute the machine once per pair and never touch the
-   trace store. *)
+(* The cache benchmarks' fused sweeps go first: they are the long poles
+   (one execution feeds all 25 grid geometries plus the full
+   pipeline-configuration sweep), so under a parallel pool they start
+   immediately.  The rest of the suite takes plain uarch sweeps.  Each
+   sweep execution also fills its pair's stats and, on D16, its fusion
+   counters, so the stats units that come last find the swept pairs in
+   the memo and execute only the unswept ones.  No unit writes a trace. *)
 let full () =
   let non_cache =
     List.filter (fun b -> not (List.mem b cache_names)) suite_names
   in
   (* The ISA-variant artifacts sweep the mixed-width target through the
-     same plane as the paper pair; fusion counters stream their own D16
-     execution and need no unit here. *)
+     same plane as the paper pair; fusion counters come from the D16
+     sweep executions and need no unit here. *)
   let swept = [ Target.d16; Target.dlxe; Target.d16m ] in
   union
-    (trace_specs ~benches:cache_names ~targets:swept)
+    (fused_specs ~benches:cache_names ~targets:swept)
     (union
-       (fused_specs ~benches:cache_names ~targets:swept)
+       (uarch_specs ~benches:non_cache ~targets:swept)
        (union
-          (uarch_specs ~benches:non_cache ~targets:swept)
-          (union
-             (stats_specs ~benches:suite_names ~targets:Target.all)
-             (stats_specs ~benches:suite_names
-                ~targets:[ Target.d16x; Target.d16m ]))))
+          (stats_specs ~benches:suite_names ~targets:Target.all)
+          (stats_specs ~benches:suite_names
+             ~targets:[ Target.d16x; Target.d16m ])))
 
 let for_experiment id =
   let cache_pair = [ Target.d16; Target.dlxe ] in
@@ -162,7 +158,7 @@ let for_experiment id =
   | "pfig1" ->
     (* The Pareto frontier reads the pipeline sweep (CPI, cache traffic)
        and the suite stats (density, bus traffic); the cache benchmarks
-       take the fused unit so the sweep shares the grid's decode. *)
+       take the fused unit so the sweep shares the grid's execution. *)
     let non_cache =
       List.filter (fun b -> not (List.mem b cache_names)) suite_names
     in
@@ -173,8 +169,8 @@ let for_experiment id =
          (stats_specs ~benches:suite_names ~targets:cache_pair))
   | "vtab1" | "vfig1" ->
     (* Variant table and scatter: full pipeline sweep for the three
-       machines plus D16m; fusion counters stream one D16 execution per
-       benchmark at render time. *)
+       machines plus D16m; the D16 sweep executions also fill the fusion
+       counters the table reads. *)
     let swept = [ Target.d16; Target.dlxe; Target.d16m ] in
     let non_cache =
       List.filter (fun b -> not (List.mem b cache_names)) suite_names

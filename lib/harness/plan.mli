@@ -10,10 +10,10 @@
 
 (** The unit of work: the {!Runs.stats} measurements (one streamed
     execution, no trace), the standard cache grid, the standard
-    cycle-accurate pipeline sweep, both at once from a single decode, or
-    a trace capture into the store ({!Runs.ensure_trace}), whose output
-    the three sweep kinds replay.  [Grid], [Uarch] and [Fused] are the
-    axis choices of the one sweep path, {!Runs.ensure_sweeps}: grid only,
+    cycle-accurate pipeline sweep, both at once from a single execution,
+    or a trace capture into the store ({!Runs.ensure_trace}), an export
+    that no other kind reads.  [Grid], [Uarch] and [Fused] are the axis
+    choices of the one sweep path, {!Runs.ensure_sweeps}: grid only,
     pipeline sweep only, or both. *)
 type kind = Stats | Grid | Uarch | Fused | Trace
 
@@ -30,9 +30,6 @@ val uarch_specs :
   benches:string list -> targets:Repro_core.Target.t list -> t
 
 val fused_specs :
-  benches:string list -> targets:Repro_core.Target.t list -> t
-
-val trace_specs :
   benches:string list -> targets:Repro_core.Target.t list -> t
 
 val union : t -> t -> t
@@ -64,12 +61,13 @@ val looks_like_spec : string -> bool
     spec arguments with other words. *)
 
 val full : unit -> t
-(** Everything {!Experiments.render_all} needs: suite stats on all six
-    targets, fused grid+pipeline sweeps for the three cache benchmarks
-    (one decode each feeds all 25 geometries and the full configuration
-    sweep), and the pipeline-model sweeps for the remaining suite — the
-    cache benchmarks' trace captures scheduled ahead of the replays that
-    consume them, most expensive units first. *)
+(** Everything {!Experiments.render_all} needs: fused grid+pipeline
+    sweeps for the three cache benchmarks (one execution each feeds all
+    25 geometries and the full configuration sweep), the pipeline-model
+    sweeps for the remaining suite, then suite stats on every target —
+    most expensive units first.  Each sweep execution also fills its
+    pair's stats (and D16 fusion counters), so the stats units of swept
+    pairs find the memo warm.  No unit captures a trace. *)
 
 val for_experiment : string -> t
 (** The plan for one experiment id (empty for the two drivers that manage
@@ -78,10 +76,9 @@ val for_experiment : string -> t
 val execute : ?chunk_map:Repro_trace.Replay.map -> spec -> unit
 (** Run one spec to completion through {!Runs} (memo + disk cache).
     A [Grid], [Uarch] or [Fused] spec is one {!Runs.ensure_sweeps} call
-    with that kind's axes.  [?chunk_map] is forwarded to its
-    {!Repro_trace.Replay.run}, so a scheduler with spare capacity can
-    spread a replay's trace chunks across domains on top of the
-    across-spec parallelism (chunks × benchmarks). *)
+    with that kind's axes.  [?chunk_map] is forwarded to its chunk
+    engine, which hands it each chunk as a one-element batch while the
+    execution runs — a span hook that times every chunk. *)
 
 val describe : spec -> string
 

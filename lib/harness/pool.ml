@@ -131,21 +131,12 @@ let run_plan ?jobs plan =
   let jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
-  (* Capacity left over after one domain per spec goes to chunk-level
-     parallelism inside each replay (a throwaway pool per replay —
-     workers must not [wait] on their own pool).  Every replay engine
-     runs the unified automaton, so one hook serves grid, uarch and
-     fused specs alike.  With enough specs to saturate, replays run
-     their chunks sequentially. *)
-  let spare = jobs / max 1 (List.length specs) in
-  let chunk_map =
-    if spare > 1 then Some (fun f xs -> map ~jobs:spare f xs) else None
-  in
+  (* One domain per spec at most.  No chunk hook: a sweep streams from
+     its execution and steps each chunk as it fills, so spare domains
+     would have no chunk batch to share. *)
   let t = create ~jobs:(min jobs (max 1 (List.length specs))) in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
-      List.iter
-        (fun s -> submit t (fun () -> Plan.execute ?chunk_map s))
-        specs;
+      List.iter (fun s -> submit t (fun () -> Plan.execute s)) specs;
       wait t)

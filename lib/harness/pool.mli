@@ -26,8 +26,8 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Call after {!wait}. *)
 
 val map : ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map; the chunk-parallel trace replays
-    distribute per-chunk work with this.  With [?pool] the elements run
+(** Order-preserving parallel map; chunk-parallel replays of a stored
+    trace ([tracedump], the bench) distribute per-chunk work with this.  With [?pool] the elements run
     on that pool's existing workers (the caller keeps ownership and must
     not be waiting on it concurrently); otherwise a throwaway pool of
     [jobs] workers is spawned ([jobs] defaults to 1 = plain [List.map]).

@@ -74,18 +74,20 @@ let stats_tbl : (string * string, stats) Hashtbl.t = Hashtbl.create 32
 
 let trace_tbl : (string * string, Trace.Reader.t) Hashtbl.t = Hashtbl.create 32
 
-(* Per-(bench, target) capture locks: a grid and a uarch spec for the same
-   pair may land on two domains at once; one captures, the other blocks on
-   the key's mutex and then reads the installed reader. *)
-let trace_locks : (string * string, Mutex.t) Hashtbl.t = Hashtbl.create 32
+(* Per-(bench, target) locks around every execution of a pair: its sweep
+   execution, its stats and fusion runs, its trace capture.  A stats and a
+   sweep spec for the same pair may land on two domains at once; one
+   executes, the other blocks on the pair's mutex and then reads what the
+   first installed.  Never taken while holding [lock]; never re-entered. *)
+let pair_locks : (string * string, Mutex.t) Hashtbl.t = Hashtbl.create 32
 
-let trace_lock key =
+let pair_lock key =
   with_lock (fun () ->
-      match Hashtbl.find_opt trace_locks key with
+      match Hashtbl.find_opt pair_locks key with
       | Some m -> m
       | None ->
         let m = Mutex.create () in
-        Hashtbl.add trace_locks key m;
+        Hashtbl.add pair_locks key m;
         m)
 
 let cache_tbl : (string * string * int * int * int, Memsys.cached) Hashtbl.t =
@@ -178,13 +180,13 @@ let image bench (target : Target.t) =
 
 (* Trace store. ------------------------------------------------------------
 
-   One capture per (benchmark, target): the architectural simulator runs
-   once with the streaming [on_insn] hook feeding a {!Trace.Writer} (no
-   trace array is materialized), and every cache grid and pipeline sweep
-   afterwards replays the stored bytes.  Corrupt, truncated, or
-   version-skewed files read as a miss and are re-captured.
-   With the disk cache disabled the capture goes to a temp file that is
-   unlinked as soon as the reader has swallowed it. *)
+   An export, written only when asked for (a [trace:] spec, [tracedump]):
+   the architectural simulator runs once with the streaming [on_insn] hook
+   feeding a {!Trace.Writer}.  The harness's own sweeps never read it —
+   they stream from an execution ({!ensure_sweeps}).  Corrupt, truncated,
+   or version-skewed files read as a miss and are re-captured.  With the
+   disk cache disabled the capture goes to a temp file that is unlinked
+   as soon as the reader has swallowed it, or the capture has failed. *)
 
 let capture_trace bench (target : Target.t) path =
   let img = image bench target in
@@ -202,7 +204,7 @@ let capture_trace bench (target : Target.t) path =
 (* Capture (or reopen) under the pair's lock and install the reader. *)
 let trace_reader bench (target : Target.t) =
   let key = (bench, target.Target.name) in
-  Mutex.protect (trace_lock key) (fun () ->
+  Mutex.protect (pair_lock key) (fun () ->
       match with_lock (fun () -> Hashtbl.find_opt trace_tbl key) with
       | Some rd -> rd
       | None ->
@@ -217,16 +219,20 @@ let trace_reader bench (target : Target.t) =
           else None
         in
         let rd =
-          match reopen () with
-          | Some rd -> rd
-          | None -> (
-            capture_trace bench target path;
-            match Trace.Reader.open_file path with
-            | Ok rd -> rd
-            | Error e ->
-              failwith ("Runs: just-captured trace unreadable: " ^ e))
+          Fun.protect
+            ~finally:(fun () ->
+              if not persistent then
+                try Sys.remove path with Sys_error _ -> ())
+            (fun () ->
+              match reopen () with
+              | Some rd -> rd
+              | None -> (
+                capture_trace bench target path;
+                match Trace.Reader.open_file path with
+                | Ok rd -> rd
+                | Error e ->
+                  failwith ("Runs: just-captured trace unreadable: " ^ e)))
         in
-        if not persistent then (try Sys.remove path with Sys_error _ -> ());
         with_lock (fun () -> Hashtbl.replace trace_tbl key rd);
         rd)
 
@@ -236,10 +242,34 @@ let ensure_trace bench target = ignore (trace_reader bench target)
 
    The cacheless fetch-request counts depend only on the dynamic address
    stream, so they come from the execution that yields the architectural
-   counters: the [on_insn] hook streams every retirement through one
-   {!Memsys.Fetchbuf} per bus width — the model {!Replay.Seq.nocache}
-   replays — and never touches the trace store.  The hook captures one
-   record of mutable counters and allocates nothing per instruction. *)
+   counters.  A swept pair gets them from its sweep execution, as the
+   bus-4 and bus-8 axes of the streamed replay ({!ensure_sweeps}).  Any
+   other pair runs alone here: the [on_insn] hook streams every
+   retirement through one {!Memsys.Fetchbuf} per bus width — the model
+   {!Replay.Seq.nocache} replays — and never touches the trace store.
+   The hook captures one record of mutable counters and allocates nothing
+   per instruction. *)
+
+let stats_of bench (target : Target.t) img (r : Machine.result)
+    ~(n32 : Memsys.nocache) ~(n64 : Memsys.nocache) =
+  {
+    bench;
+    target;
+    size_bytes = Link.size_bytes img;
+    text_bytes = img.Link.text_bytes;
+    ic = r.Machine.ic;
+    loads = r.Machine.loads;
+    stores = r.Machine.stores;
+    load_words = r.Machine.load_words;
+    store_words = r.Machine.store_words;
+    interlocks = r.Machine.interlocks;
+    ireq32 = n32.Memsys.irequests;
+    ireq64 = n64.Memsys.irequests;
+    dreq32 = n32.Memsys.drequests;
+    dreq64 = n64.Memsys.drequests;
+    output = r.Machine.output;
+    exit_code = r.Machine.exit_code;
+  }
 
 type fetch_counters = {
   fb32 : Memsys.Fetchbuf.t;
@@ -276,40 +306,40 @@ let compute_stats bench (target : Target.t) =
     end
   in
   let r = Machine.run ~on_insn img in
-  {
-    bench;
-    target;
-    size_bytes = Link.size_bytes img;
-    text_bytes = img.Link.text_bytes;
-    ic = r.Machine.ic;
-    loads = r.Machine.loads;
-    stores = r.Machine.stores;
-    load_words = r.Machine.load_words;
-    store_words = r.Machine.store_words;
-    interlocks = r.Machine.interlocks;
-    ireq32 = Memsys.Fetchbuf.requests c.fb32;
-    ireq64 = Memsys.Fetchbuf.requests c.fb64;
-    dreq32 = c.dreq32;
-    dreq64 = c.dreq64;
-    output = r.Machine.output;
-    exit_code = r.Machine.exit_code;
-  }
+  stats_of bench target img r
+    ~n32:
+      { Memsys.irequests = Memsys.Fetchbuf.requests c.fb32; drequests = c.dreq32 }
+    ~n64:
+      { Memsys.irequests = Memsys.Fetchbuf.requests c.fb64; drequests = c.dreq64 }
 
+(* The memo, then the disk (installing a hit in the memo). *)
+let find_memo tbl key ~disk =
+  match with_lock (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v -> Some v
+  | None ->
+    let v = Diskcache.find disk in
+    Option.iter (fun v -> with_lock (fun () -> Hashtbl.replace tbl key v)) v;
+    v
+
+let store_memo tbl key ~disk v =
+  Diskcache.store disk v;
+  with_lock (fun () -> Hashtbl.replace tbl key v)
+
+(* Under the pair's lock: a stats request for a pair whose sweep execution
+   is running waits for it, then finds the stats that execution stored. *)
 let stats bench (target : Target.t) =
   let key = (bench, target.Target.name) in
   match with_lock (fun () -> Hashtbl.find_opt stats_tbl key) with
   | Some s -> s
   | None ->
-    let s =
-      match (Diskcache.find (stats_key bench target) : stats option) with
-      | Some s -> s
-      | None ->
-        let s = compute_stats bench target in
-        Diskcache.store (stats_key bench target) s;
-        s
-    in
-    with_lock (fun () -> Hashtbl.replace stats_tbl key s);
-    s
+    Mutex.protect (pair_lock key) (fun () ->
+        let disk = stats_key bench target in
+        match find_memo stats_tbl key ~disk with
+        | Some s -> s
+        | None ->
+          let s = compute_stats bench target in
+          store_memo stats_tbl key ~disk s;
+          s)
 
 let grid_complete bench (target : Target.t) =
   with_lock (fun () ->
@@ -344,69 +374,109 @@ let install_uarch bench (target : Target.t) entries =
           Hashtbl.replace uarch_tbl (bench, target.Target.name, cfg) res)
         entries)
 
-(* The one sweep path.  [grid] and [uarch] name the standard sweeps the
-   caller needs; an axis already complete in the memo or stored on disk
-   is skipped, and whatever is still cold comes from ONE replay of the
-   stored trace, so a grid and a pipeline sweep share a decode.  The disk
-   entries hold each sweep on its own, whichever call filled them. *)
-let ensure_sweeps ?map ~grid ~uarch bench (target : Target.t) =
-  let need_grid = grid && not (grid_complete bench target) in
-  let need_uarch = uarch && not (uarch_complete bench target) in
-  if need_grid || need_uarch then begin
-    let disk_grid : ((int * int * int) * Memsys.cached) list option =
-      if need_grid then Diskcache.find (grid_key bench target) else None
-    in
+(* Macro-op fusion counters under the default rule table, over one
+   execution's committed-instruction stream. *)
+let fusion_stream img =
+  Fusion.stream_start (Fusion.plan Fusion.default_rules img)
+
+(* The sweep execution, under the pair's lock: one {!Machine.run} whose
+   hook feeds the chunk engine (and the fusion stream when D16's counters
+   are cold), storing and installing every measurement it made under its
+   own key. *)
+let execute_sweeps ?map ~want_grid ~want_uarch bench (target : Target.t) =
+  let key = (bench, target.Target.name) in
+  let img = image bench target in
+  let stats_disk = stats_key bench target in
+  let fusion_disk = fusion_key bench target in
+  let want_stats = find_memo stats_tbl key ~disk:stats_disk = None in
+  let fusion =
+    if
+      target.Target.name = Target.d16.Target.name
+      && find_memo fusion_tbl key ~disk:fusion_disk = None
+    then Some (fusion_stream img)
+    else None
+  in
+  let r, res =
+    Replay.stream ?map ~img ~insn_bytes:(Target.insn_bytes target)
+      {
+        Replay.buses = (if want_stats then [ 4; 8 ] else []);
+        caches = (if want_grid then List.map cache_pair standard_grid else []);
+        pipelines = (if want_uarch then standard_uarch_configs else []);
+      }
+      (fun hook ->
+        let on_insn =
+          match fusion with
+          | None -> fun ~iaddr ~dinfo -> hook ~pc:iaddr ~dinfo
+          | Some st ->
+            fun ~iaddr ~dinfo ->
+              hook ~pc:iaddr ~dinfo;
+              Fusion.stream_step st ~iaddr
+        in
+        Machine.run ~on_insn img)
+  in
+  (match res.Replay.nocaches with
+  | [ n32; n64 ] ->
+    store_memo stats_tbl key ~disk:stats_disk
+      (stats_of bench target img r ~n32 ~n64)
+  | _ -> ());
+  Option.iter
+    (fun st ->
+      store_memo fusion_tbl key ~disk:fusion_disk (Fusion.stream_finish st))
+    fusion;
+  if want_grid then begin
+    let entries = List.combine standard_grid res.Replay.cacheds in
+    Diskcache.store (grid_key bench target) entries;
+    install_grid bench target entries
+  end;
+  if want_uarch then begin
     (* The disk format stays describe-keyed (it predates the structural
        memo keys), so existing cache entries remain valid. *)
-    let disk_uarch : (string * Upipeline.result) list option =
-      if need_uarch then Diskcache.find (uarch_sweep_key bench target)
-      else None
-    in
-    let want_grid = need_grid && disk_grid = None in
-    let want_uarch = need_uarch && disk_uarch = None in
-    let replayed =
-      lazy
-        (Replay.run ?map
-           ?img:(if want_uarch then Some (image bench target) else None)
-           (trace_reader bench target)
-           {
-             Replay.empty with
-             caches =
-               (if want_grid then List.map cache_pair standard_grid else []);
-             pipelines = (if want_uarch then standard_uarch_configs else []);
-           })
-    in
-    let grid_entries =
-      if want_grid then begin
-        let entries =
-          List.combine standard_grid (Lazy.force replayed).Replay.cacheds
-        in
-        Diskcache.store (grid_key bench target) entries;
-        Some entries
-      end
-      else disk_grid
-    in
-    Option.iter (install_grid bench target) grid_entries;
-    let uarch_entries =
-      if want_uarch then begin
-        let entries =
-          List.map2
-            (fun cfg res -> (Uconfig.describe cfg, res))
-            standard_uarch_configs (Lazy.force replayed).Replay.pipes
-        in
-        Diskcache.store (uarch_sweep_key bench target) entries;
-        Some entries
-      end
-      else disk_uarch
-    in
-    Option.iter
-      (fun entries ->
-        install_uarch bench target
-          (List.map
-             (fun cfg -> (cfg, List.assoc (Uconfig.describe cfg) entries))
-             standard_uarch_configs))
-      uarch_entries
+    Diskcache.store (uarch_sweep_key bench target)
+      (List.map2
+         (fun cfg res -> (Uconfig.describe cfg, res))
+         standard_uarch_configs res.Replay.pipes);
+    install_uarch bench target
+      (List.combine standard_uarch_configs res.Replay.pipes)
   end
+
+(* The one sweep path.  [grid] and [uarch] name the standard sweeps the
+   caller needs; an axis already complete in the memo or stored on disk
+   is skipped, and whatever is still cold comes from ONE execution of the
+   pair streamed through {!Replay.stream} — no trace is written.  The same
+   execution fills the pair's stats (the bus-4 and bus-8 axes) and, on
+   D16, its fusion counters, when those are cold too.  The disk entries
+   hold each measurement on its own, whichever call filled them. *)
+let ensure_sweeps ?map ~grid ~uarch bench (target : Target.t) =
+  let cold () =
+    ( grid && not (grid_complete bench target),
+      uarch && not (uarch_complete bench target) )
+  in
+  match cold () with
+  | false, false -> ()
+  | _ ->
+    Mutex.protect (pair_lock (bench, target.Target.name)) (fun () ->
+        (* Another domain may have filled the sweeps while this one
+           waited for the pair. *)
+        let need_grid, need_uarch = cold () in
+        let disk_grid : ((int * int * int) * Memsys.cached) list option =
+          if need_grid then Diskcache.find (grid_key bench target) else None
+        in
+        let disk_uarch : (string * Upipeline.result) list option =
+          if need_uarch then Diskcache.find (uarch_sweep_key bench target)
+          else None
+        in
+        Option.iter (install_grid bench target) disk_grid;
+        Option.iter
+          (fun entries ->
+            install_uarch bench target
+              (List.map
+                 (fun cfg -> (cfg, List.assoc (Uconfig.describe cfg) entries))
+                 standard_uarch_configs))
+          disk_uarch;
+        let want_grid = need_grid && disk_grid = None in
+        let want_uarch = need_uarch && disk_uarch = None in
+        if want_grid || want_uarch then
+          execute_sweeps ?map ~want_grid ~want_uarch bench target)
 
 (* Every caller asks for the standard sweeps only; anything else is a
    programming error, named in the exception. *)
@@ -422,26 +492,28 @@ let cached bench (target : Target.t) ~size ~block ~sub =
     ensure_sweeps ~grid:true ~uarch:false bench target;
     with_lock (fun () -> Hashtbl.find cache_tbl key)
 
-(* Macro-op fusion counters under the default rule table: one execution
-   streamed through the fusion engine — the pair's stored trace, if any,
-   is not consulted. *)
+(* Fusion counters stream their own execution when no sweep execution of
+   the pair has filled them — under the pair's lock, so a request that
+   arrives while the pair's sweep runs waits and then finds them. *)
 let fusion bench (target : Target.t) =
   let key = (bench, target.Target.name) in
   match with_lock (fun () -> Hashtbl.find_opt fusion_tbl key) with
   | Some c -> c
   | None ->
-    let c =
-      Diskcache.memo (fusion_key bench target) (fun () ->
+    Mutex.protect (pair_lock key) (fun () ->
+        let disk = fusion_key bench target in
+        match find_memo fusion_tbl key ~disk with
+        | Some c -> c
+        | None ->
           let img = image bench target in
-          let st = Fusion.stream_start (Fusion.plan Fusion.default_rules img) in
+          let st = fusion_stream img in
           ignore
             (Machine.run
                ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
                img);
-          Fusion.stream_finish st)
-    in
-    with_lock (fun () -> Hashtbl.replace fusion_tbl key c);
-    c
+          let c = Fusion.stream_finish st in
+          store_memo fusion_tbl key ~disk c;
+          c)
 
 let uarch bench (target : Target.t) cfg =
   let key = (bench, target.Target.name, cfg) in

@@ -1,17 +1,24 @@
 (** Memoized per-(benchmark, target) measurements.
 
     Compiling and simulating a benchmark is deterministic, so every
-    experiment shares one set of raw numbers.  The measurement plane is
-    trace-driven, mirroring the paper's dinero methodology: one captured
-    execution per (benchmark, target) lands as a compressed
-    {!Repro_trace.Trace} file in the store under
-    [_runs_cache/traces/], and the standard cache grid and the
-    cycle-accurate pipeline sweeps both {e replay} that trace — sweep
-    cost scales with trace I/O, not architectural work.  Corrupt or
-    version-skewed trace files read as misses and are re-captured.  The
-    suite {!stats} and the {!fusion} counters need only the dynamic
-    instruction stream and never touch the store: one execution streams
-    it through their counters.
+    experiment shares one set of raw numbers.  The paper priced memory
+    systems dinero-style, replaying a captured trace against each
+    configuration, because its compiler, simulator and cache model were
+    separate programs.  Here they share one process, so the sweeps are
+    driven by the execution itself: one {!Repro_sim.Machine.run} per
+    cold (benchmark, target) streams its records through the chunk
+    engine ({!Repro_trace.Replay.stream}), which prices the standard
+    cache grid and the cycle-accurate pipeline sweep in the same pass —
+    and, on that same execution, the pair's suite {!stats} and (on D16)
+    its {!fusion} counters, when those are cold too.  No trace is
+    written.  The trace store under [_runs_cache/traces/] is an export,
+    filled only on request ({!trace_reader}: [trace:] specs,
+    [tracedump]).
+
+    One lock per (benchmark, target) serializes the pair's executions
+    (sweep, stats, fusion, trace capture): a request that arrives while
+    the pair's sweep execution runs waits for it, then reads what it
+    installed.
 
     Two memo layers back every accessor:
 
@@ -44,10 +51,12 @@ type stats = {
 }
 
 val stats : string -> Repro_core.Target.t -> stats
-(** Compile and run once, streaming every retired instruction through a
-    one-block fetch buffer per bus width (4 and 8 bytes; the model
+(** Memoized in process and on disk.  A swept pair's stats usually come
+    from its sweep execution ({!ensure_sweeps}); otherwise compile and
+    run once, streaming every retired instruction through a one-block
+    fetch buffer per bus width (4 and 8 bytes; the model
     {!Repro_trace.Replay.Seq.nocache} replays) — no trace is captured,
-    stored, or decoded.  Memoized in process and on disk. *)
+    stored, or decoded.  Either way the entry's bytes are the same. *)
 
 val cached :
   string ->
@@ -89,20 +98,26 @@ val ensure_sweeps :
     grid ({!standard_grid}) when [grid], the pipeline-model sweep
     ({!standard_uarch_configs}) when [uarch].  A sweep already complete in
     memory or stored on disk is skipped; whatever is still cold comes from
-    one {!Repro_trace.Replay.run} of the stored trace, so both sweeps
-    share a decode.  Each sweep has its own disk entry ({!grid_key},
-    {!uarch_sweep_key}), whichever call filled it.  The unit of work
-    {!Pool} schedules for cache and stall studies.  [?map] lets a caller
-    spread the trace's chunks across domains (pass [Pool.map ~jobs] or
-    [Pool.map ~pool]); the default is sequential.  This module cannot
-    depend on {!Pool} — injection keeps the dependency one-way. *)
+    one execution of the pair streamed through
+    {!Repro_trace.Replay.stream}, so both sweeps share it and no trace
+    is written.  When the pair's {!stats} are cold (not in memory, not on
+    disk) the same execution also yields them, and on D16 its {!fusion}
+    counters likewise.  Each measurement has its own disk entry
+    ({!grid_key}, {!uarch_sweep_key}, {!stats_key}, {!fusion_key}),
+    byte-identical whichever call filled it.  The unit of work {!Pool}
+    schedules for cache and stall studies.  [?map] is the chunk engine's
+    scheduler hook; it sees each chunk as a one-element batch while the
+    execution runs, so a span hook times every chunk (the default steps
+    chunks in line).  This module cannot depend on {!Pool} — injection
+    keeps the dependency one-way. *)
 
 val fusion : string -> Repro_core.Target.t -> Repro_isavar.Fusion.counters
 (** Macro-op fusion counters ({!Repro_isavar.Fusion.default_rules}) for
     one (benchmark, target): dynamic op count, per-rule fused pairs, and
-    the fused interlock clock, from one execution streamed through
-    {!Repro_isavar.Fusion.stream_step} — no trace is captured or
-    replayed.  Memoized in process and on disk. *)
+    the fused interlock clock, from one execution's committed-instruction
+    stream fed through {!Repro_isavar.Fusion.stream_step} — a D16 pair's
+    sweep execution when it ran cold, else an execution of its own.  No
+    trace is captured or replayed.  Memoized in process and on disk. *)
 
 val standard_uarch_configs : Repro_uarch.Uconfig.t list
 (** Cacheless bus 4 and 8 bytes at wait states 0..3, plus 4K and 16K split
@@ -117,17 +132,21 @@ val standard_blocks : int list
 val standard_grid : (int * int * int) list
 (** Every (size, block, sub) geometry the appendix tables and figures use. *)
 
-(** {2 Trace store} *)
+(** {2 Trace store}
+
+    An export of one execution's record stream, for [trace:] specs,
+    [tracedump] and the benchmarks.  The sweeps above never read it. *)
 
 val trace_reader : string -> Repro_core.Target.t -> Repro_trace.Trace.Reader.t
 (** The stored trace for one (benchmark, target), captured now if the
     store has no readable current-version file.  Readers are shared (and
-    safe to share) across domains. *)
+    safe to share) across domains.  With the disk cache disabled the
+    capture goes to a temp file, removed once the reader has mapped it or
+    the capture has failed. *)
 
 val ensure_trace : string -> Repro_core.Target.t -> unit
-(** Populate the trace store for one (benchmark, target) — the unit of
-    work {!Pool} schedules ahead of grid and uarch sweeps so replays hit
-    a warm store. *)
+(** Populate the trace store for one (benchmark, target) — what a
+    [trace:] spec runs. *)
 
 val trace_path : string -> Repro_core.Target.t -> string
 (** Where the stored trace lives ([_runs_cache/traces/<key>.trc]). *)

@@ -85,8 +85,8 @@ let exec_group t g () =
   let t0 = Unix.gettimeofday () in
   match
     (* A multi-kind group warms both standard sweeps in ONE fused pass —
-       one decode of the stored trace serves every cell — after which
-       each cell's digest is a warm read-back. *)
+       one execution of the pair serves every cell — after which each
+       cell's digest is a warm read-back. *)
     let kinds =
       List.sort_uniq compare
         (List.filter_map

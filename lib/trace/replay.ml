@@ -12,14 +12,14 @@ module Mem = Pipeline.Mem
    One decode per chunk feeds every automaton (caches, fetch buffers,
    scoreboard).  Decoded chunks are cached: the varint stream is
    LEB128+zigzag and costs more to walk than the automata cost to step,
-   so a second replay of the same reader — a bench repeat, or a serve
-   process answering a grid and then a pipeline sweep for one pair — must
-   not pay the decode again.  The cache is a small MRU of
-   recently-replayed readers (keyed by physical reader identity) with one
-   atomic slot per chunk: the slot is filled outside any lock (decoding
-   is deterministic, so a racing double-decode is just redundant work,
-   never wrong), and readers evicted from the MRU drop all their arrays
-   at once. *)
+   so a second replay of the same reader must not pay the decode again.
+   Harness and serve sweeps stream from the execution ({!stream}) and
+   never come here; the bench's repeated replays are the repeat caller.
+   The cache is a small MRU of recently-replayed readers (keyed by
+   physical reader identity) with one atomic slot per chunk: the slot is
+   filled outside any lock (decoding is deterministic, so a racing
+   double-decode is just redundant work, never wrong), and readers
+   evicted from the MRU drop all their arrays at once. *)
 
 module Decoded = struct
   type t = {
@@ -100,7 +100,8 @@ end
 
 (* The engine. ----------------------------------------------------------------
 
-   One pass serves every axis of a spec.  Each chunk is decoded once and
+   One pass serves every axis of a spec.  Each chunk is filled once —
+   decoded from a stored trace, or written by the execution's hook — and
    simulated cold, independently of every other chunk (so chunks fan out
    across domains): the scoreboard, when pipelines are asked for, plus
    one memory automaton per distinct behaviour class.  The chunk
@@ -167,9 +168,8 @@ let n_regs (img : Link.image) =
   let t = img.Link.target in
   (t.Target.n_gpr, t.Target.n_fpr)
 
-(* Cold-simulate chunk [i]: independent of every other chunk. *)
-let chunk ~score ~insn_bytes keys rd i =
-  let d = Decoded.get rd i in
+(* Cold-simulate one decoded chunk: independent of every other chunk. *)
+let chunk ~score ~insn_bytes keys (d : Decoded.t) =
   let score =
     Option.map
       (fun (img, descs) ->
@@ -198,52 +198,53 @@ let chunk ~score ~insn_bytes keys rd i =
   in
   { score; mems }
 
-let run ?map ?img rd spec =
-  match spec with
-  | { buses = []; caches = []; pipelines = [] } ->
-    { nocaches = []; cacheds = []; pipes = [] }
-  | _ ->
-    (* The scoreboard, when pipelines are asked for, is shared by all of
-       them: interlocks depend only on the instruction stream. *)
-    let score =
-      match (spec.pipelines, img) with
-      | [], _ -> None
-      | _ :: _, Some img -> Some (img, Predecode.table img)
-      | _ :: _, None ->
-        invalid_arg "Replay.run: pipeline configurations need ~img"
-    in
-    let keys, of_item =
-      dedup_keys
-        (List.map nocache_key spec.buses
-        @ List.map cached_key spec.caches
-        @ List.map Mem.key spec.pipelines)
-    in
-    let chunk = chunk ~score ~insn_bytes:(Trace.Reader.insn_bytes rd) keys rd in
-    let warm =
-      Option.map
-        (fun (img, descs) ->
-          let n_gpr, n_fpr = n_regs img in
-          (Scoreboard.create ~n_gpr ~n_fpr, descs))
-        score
-    in
-    let carries = Array.map Mem.carry_start keys in
-    let absorb r =
-      (match (warm, r.score) with
-      | Some (sb, descs), Some s -> Scoreboard.absorb sb descs s
-      | _ -> ());
-      Array.iteri (fun j s -> Mem.absorb carries.(j) s) r.mems
-    in
-    let ids = List.init (Trace.Reader.n_chunks rd) Fun.id in
-    (match map with
-    | Some m -> List.iter absorb (m chunk ids)
-    | None ->
-      (* Sequential replay absorbs each chunk as it is produced: the same
-         chunk order as absorbing the full list, but the summaries —
-         per-key prefix logs included — die young instead of
-         accumulating across the whole trace.  At wide sweeps (16 cache
-         geometries) the retained list's live set scaled as chunks x
-         keys and dominated the run in GC work. *)
-      List.iter (fun i -> absorb (chunk i)) ids);
+let no_result = { nocaches = []; cacheds = []; pipes = [] }
+
+let is_empty = function
+  | { buses = []; caches = []; pipelines = [] } -> true
+  | _ -> false
+
+(* The engine core, shared by both chunk sources: key dedup, scoreboard
+   set-up, the cold [chunk] step over a decoded chunk, in-order [absorb]
+   and the final charge over [ic] records.  Only where chunk i comes from
+   differs: a stored trace ({!run}) or the execution itself ({!stream}). *)
+type engine = {
+  step : Decoded.t -> chunk_result;
+  absorb : chunk_result -> unit;
+  finish : ic:int -> result;
+}
+
+let engine ?img ~insn_bytes caller spec =
+  (* The scoreboard, when pipelines are asked for, is shared by all of
+     them: interlocks depend only on the instruction stream. *)
+  let score =
+    match (spec.pipelines, img) with
+    | [], _ -> None
+    | _ :: _, Some img -> Some (img, Predecode.table img)
+    | _ :: _, None ->
+      invalid_arg (caller ^ ": pipeline configurations need ~img")
+  in
+  let keys, of_item =
+    dedup_keys
+      (List.map nocache_key spec.buses
+      @ List.map cached_key spec.caches
+      @ List.map Mem.key spec.pipelines)
+  in
+  let warm =
+    Option.map
+      (fun (img, descs) ->
+        let n_gpr, n_fpr = n_regs img in
+        (Scoreboard.create ~n_gpr ~n_fpr, descs))
+      score
+  in
+  let carries = Array.map Mem.carry_start keys in
+  let absorb r =
+    (match (warm, r.score) with
+    | Some (sb, descs), Some s -> Scoreboard.absorb sb descs s
+    | _ -> ());
+    Array.iteri (fun j s -> Mem.absorb carries.(j) s) r.mems
+  in
+  let finish ~ic =
     let carry_of i = carries.(of_item.(i)) in
     let nb = List.length spec.buses in
     let nc = List.length spec.caches in
@@ -251,7 +252,6 @@ let run ?map ?img rd spec =
       match warm with
       | None -> []
       | Some (sb, _) ->
-        let ic = Trace.Reader.n_records rd in
         List.mapi
           (fun i cfg ->
             Mem.charge (carry_of (nb + nc + i)) cfg ~ic
@@ -269,6 +269,80 @@ let run ?map ?img rd spec =
           spec.caches;
       pipes;
     }
+  in
+  { step = chunk ~score ~insn_bytes keys; absorb; finish }
+
+let run ?map ?img rd spec =
+  if is_empty spec then no_result
+  else begin
+    let e =
+      engine ?img ~insn_bytes:(Trace.Reader.insn_bytes rd) "Replay.run" spec
+    in
+    let step i = e.step (Decoded.get rd i) in
+    let ids = List.init (Trace.Reader.n_chunks rd) Fun.id in
+    (match map with
+    | Some m -> List.iter e.absorb (m step ids)
+    | None ->
+      (* Sequential replay absorbs each chunk as it is produced: the same
+         chunk order as absorbing the full list, but the summaries —
+         per-key prefix logs included — die young instead of
+         accumulating across the whole trace.  At wide sweeps (16 cache
+         geometries) the retained list's live set scaled as chunks x
+         keys and dominated the run in GC work. *)
+      List.iter (fun i -> e.absorb (step i)) ids);
+    e.finish ~ic:(Trace.Reader.n_records rd)
+  end
+
+(* The execution as the chunk source.  The hook fills one chunk's pcs and
+   data records in place; a full chunk is packed into fetch events, stepped
+   and absorbed before the hook returns, so the buffers are reused and no
+   record outlives its chunk.  [?map] sees each chunk as a one-element
+   batch: a span hook still times every chunk, and a pool map of one
+   element runs it on the calling domain. *)
+let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
+    ~insn_bytes spec drive =
+  if chunk_records < 1 then invalid_arg "Replay.stream: chunk_records < 1";
+  if is_empty spec then (drive (fun ~pc:_ ~dinfo:_ -> ()), no_result)
+  else begin
+    let e = engine ?img ~insn_bytes "Replay.stream" spec in
+    let pcs = Array.make chunk_records 0 in
+    let dinfos = Array.make chunk_records 0 in
+    let np = ref 0 and nd = ref 0 and ic = ref 0 and i = ref 0 in
+    let flush () =
+      let pcs = if !np = chunk_records then pcs else Array.sub pcs 0 !np in
+      let d =
+        {
+          Decoded.pcs;
+          dinfos = Array.sub dinfos 0 !nd;
+          ev4 = Memsys.fetch_events ~insn_bytes ~granule:4 pcs;
+          ev8 = Memsys.fetch_events ~insn_bytes ~granule:8 pcs;
+          insn_bytes;
+        }
+      in
+      let r =
+        match map with
+        | None -> e.step d
+        | Some m -> List.hd (m (fun _ -> e.step d) [ !i ])
+      in
+      e.absorb r;
+      ic := !ic + !np;
+      incr i;
+      np := 0;
+      nd := 0
+    in
+    let hook ~pc ~dinfo =
+      Array.unsafe_set pcs !np pc;
+      incr np;
+      if dinfo <> 0 then begin
+        Array.unsafe_set dinfos !nd dinfo;
+        incr nd
+      end;
+      if !np = chunk_records then flush ()
+    in
+    let a = drive hook in
+    if !np > 0 then flush ();
+    (a, e.finish ~ic:!ic)
+  end
 
 (* Reference implementations: plain sequential per-record loops, kept as
    independent baselines for the differential suite (they share no code

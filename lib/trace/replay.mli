@@ -1,20 +1,24 @@
 (** Trace-driven replay: the memory-system models and the cycle-accurate
-    pipeline, fed from a {!Trace.Reader} instead of a live execution.
+    pipeline, fed chunk by chunk from a {!Trace.Reader} or from a live
+    execution.
 
-    One entry point, {!run}, replays a stored trace against any mix of
-    bus widths, split I/D cache geometries and full pipeline
-    configurations from one decode.  Its results are exactly equal to
-    the sequential oracle {!Seq} over the same trace and to direct
-    execution (pipelines fed live by {!Repro_uarch.Uarch}) — the
-    differential suite in [test/t_trace.ml] gates on byte-identical
-    counters.
+    One chunk engine replays a record stream against any mix of bus
+    widths, split I/D cache geometries and full pipeline configurations
+    in one pass.  It has two chunk sources: {!run} decodes chunk [i] of
+    a stored trace, and {!stream} fills each chunk from the execution's
+    own [on_insn] records, so a sweep needs no trace at all.  Results are
+    exactly equal to the sequential oracle {!Seq} over the same records
+    and to direct execution (pipelines fed live by
+    {!Repro_uarch.Uarch}) — the differential suite in [test/t_trace.ml]
+    gates on byte-identical counters, from both sources.
 
     {1 The chunk engine}
 
-    {!run} works chunk by chunk:
+    The engine works chunk by chunk:
 
-    + {b decode} each trace chunk once into flat arrays ({!Decoded}),
-      shared by every automaton fed from that chunk;
+    + {b fill} each chunk once into flat arrays ({!Decoded}) — decoded
+      from the stored varint stream, or written in place by the
+      execution's hook — shared by every automaton fed from that chunk;
     + {b cold-simulate} each chunk independently: the scoreboard (when
       pipelines are asked for) and one {!Repro_uarch.Pipeline.Mem}
       automaton per distinct memory behaviour, each starting from a state
@@ -26,9 +30,9 @@
       into the true carried state, replaying only the logged prefix —
       never the whole chunk, unless the scoreboard never converged.
 
-    The cold step is independent per chunk, so [?map] may fan chunks out
-    across domains; absorption reconstructs exactly the sequential
-    outcome. *)
+    The cold step is independent per chunk, so [?map] may fan a stored
+    trace's chunks out across domains; absorption reconstructs exactly
+    the sequential outcome. *)
 
 (** One trace chunk decoded into flat arrays, shared by every automaton.
 
@@ -46,9 +50,9 @@
 
     {!run} decodes through a cache (a small MRU over recently-replayed
     readers, lock-free per-chunk slots), so a second {!run} over the same
-    reader — a bench repeat, or a serve process answering a grid request
-    and then a separate pipeline-sweep request for the same pair —
-    decodes the varint stream once, not once per pass. *)
+    reader decodes the varint stream once, not once per pass.  Sweeps in
+    the harness and in serve stream from the execution instead, so the
+    bench's repeated replays are the only repeat caller left. *)
 module Decoded : sig
   type t = {
     pcs : int array;  (** Every record's fetch address, in order. *)
@@ -96,9 +100,9 @@ type chunk_result
     automaton's. *)
 
 type map = (int -> chunk_result) -> int list -> chunk_result list
-(** The scheduler hook for {!run}: how per-chunk work is distributed
-    (default [List.map]; pass [Repro_harness.Pool.map ~pool] or [~jobs]
-    to fan chunks out across domains). *)
+(** The scheduler hook for {!run} and {!stream}: how per-chunk work is
+    distributed (default [List.map]; pass [Repro_harness.Pool.map ~pool]
+    or [~jobs] to fan a stored trace's chunks out across domains). *)
 
 val run :
   ?map:map ->
@@ -125,6 +129,35 @@ val run :
     @raise Invalid_argument if [spec.pipelines] is nonempty and no
       [?img] was given (the pipeline model needs the image's instruction
       descriptors). *)
+
+val stream :
+  ?map:map ->
+  ?img:Repro_link.Link.image ->
+  ?chunk_records:int ->
+  insn_bytes:int ->
+  spec ->
+  ((pc:int -> dinfo:int -> unit) -> 'a) ->
+  'a * result
+(** [stream ~insn_bytes spec drive] runs [drive hook] — typically one
+    {!Repro_sim.Machine.run} whose [on_insn] calls [hook] — and replays
+    the records [hook] receives against every axis of [spec], with no
+    trace written or read.  The records are packed into chunks of
+    [chunk_records] (default {!Trace.default_chunk_records}, as
+    {!Trace.Writer.create}); each full chunk, and the last partial one
+    after [drive] returns, goes through the same cold step and in-order
+    absorb as {!run}.  [insn_bytes] is the instruction width a trace of
+    the same records would carry in its header.  Returns [drive]'s value
+    and the result, equal to {!run} over a trace of the same records.
+
+    [?map] receives each chunk as a one-element batch while [drive] is
+    still running: a span hook times every chunk, and
+    [Repro_harness.Pool.map] of one element stays on the calling domain.
+
+    An empty spec still runs [drive], with a hook that ignores its
+    records.
+
+    @raise Invalid_argument if [chunk_records < 1], or if
+      [spec.pipelines] is nonempty and no [?img] was given. *)
 
 (** Reference implementations: plain sequential per-record loops.  They
     share nothing with the chunk engine — no decode cache, no automata,

@@ -237,6 +237,50 @@ let test_fusion_streams () =
         (if Sys.file_exists traces then Array.to_list (Sys.readdir traces)
          else []))
 
+(* A cold swept pair executes once, writing no trace: the sweep execution
+   also fills the pair's stats and (on D16) fusion counters, and stores
+   them byte-identical to the entries [Runs.stats] and [Runs.fusion] write
+   when they run alone on another empty cache. *)
+let test_sweeps_stream () =
+  let keys =
+    [
+      ("stats", Runs.stats_key "queens" Target.d16);
+      ("fusion", Runs.fusion_key "queens" Target.d16);
+    ]
+  in
+  let entries () =
+    List.map
+      (fun (what, key) ->
+        let file = Filename.concat (Diskcache.dir ()) (key ^ ".bin") in
+        if not (Sys.file_exists file) then
+          Alcotest.failf "no %s entry stored" what;
+        (what, In_channel.with_open_bin file In_channel.input_all))
+      keys
+  in
+  let swept =
+    with_temp_cache (fun () ->
+        Runs.clear_memo ();
+        Runs.ensure_sweeps ~grid:true ~uarch:true "queens" Target.d16;
+        let traces = Filename.concat (Diskcache.dir ()) "traces" in
+        Alcotest.(check (list string))
+          "sweeps leave no file under traces/" []
+          (if Sys.file_exists traces then Array.to_list (Sys.readdir traces)
+           else []);
+        entries ())
+  in
+  let alone =
+    with_temp_cache (fun () ->
+        Runs.clear_memo ();
+        ignore (Runs.stats "queens" Target.d16);
+        ignore (Runs.fusion "queens" Target.d16);
+        entries ())
+  in
+  Runs.clear_memo ();
+  List.iter2
+    (fun (what, a) (_, b) ->
+      Alcotest.(check bool) (what ^ " entry bytes = alone") true (a = b))
+    swept alone
+
 (* Only the standard sweeps are measured; anything else is rejected by
    name before any compile or replay. *)
 let test_off_standard_rejected () =
@@ -332,6 +376,8 @@ let tests =
     Alcotest.test_case "stats = nocache replay" `Slow test_stats_match_replay;
     Alcotest.test_case "fusion streams, captures nothing" `Slow
       test_fusion_streams;
+    Alcotest.test_case "sweeps stream, capture nothing" `Slow
+      test_sweeps_stream;
     Alcotest.test_case "off-standard request rejected" `Quick
       test_off_standard_rejected;
     Alcotest.test_case "key invalidation" `Quick test_key_invalidation;

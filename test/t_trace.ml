@@ -217,6 +217,10 @@ let event_edge_records =
     (fun i pc -> (pc, dinfo i))
     (region 0 @ region high @ region unpackable @ region 0x1000)
 
+(* Hand [records] to a {!Replay.stream} hook, in order. *)
+let feed records hook =
+  List.iter (fun (pc, dinfo) -> hook ~pc ~dinfo) records
+
 (* Expand the packed events back into the fetch count they stand for. *)
 let event_total events =
   Array.fold_left
@@ -282,9 +286,55 @@ let test_fetch_events () =
                 (Replay.run rd spec = expect);
               Alcotest.(check bool) (label "chunk-parallel") true
                 (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) rd spec
+                = expect);
+              Alcotest.(check bool) (label "streamed") true
+                (snd
+                   (Replay.stream ~chunk_records ~insn_bytes spec
+                      (feed event_edge_records))
                 = expect)))
         [ 1; 7; 512 ])
     [ 2; 4 ]
+
+let synth_images =
+  lazy
+    (List.map
+       (fun t -> (t, Compile.compile t (Suite.find "towers").Suite.source))
+       [ Target.d16; Target.dlxe ])
+
+let synth_cfgs =
+  [
+    Uconfig.nocache ~bus_bytes:2 ~wait_states:3;
+    Uconfig.nocache ~bus_bytes:8 ~wait_states:1;
+    (let c = Memsys.cache_config ~size:256 ~block:16 ~sub:2 in
+     Uconfig.cached ~icache:c ~dcache:c ~miss_penalty:5);
+    (let c = Memsys.cache_config ~size:1024 ~block:32 ~sub:4 in
+     Uconfig.cached ~icache:c ~dcache:c ~miss_penalty:8);
+  ]
+
+(* Every axis at once: the caches include both cached configurations'
+   pairs, so those automatons are shared between two axes. *)
+let synth_all_axes =
+  {
+    Replay.buses = [ 2; 8 ];
+    caches = List.map cache_pair [ (256, 16, 2); (1024, 32, 4); (64, 8, 8) ];
+    pipelines = synth_cfgs;
+  }
+
+(* Generated records moved onto the image's instruction addresses. *)
+let onto_image (img : Link.image) records =
+  let n = Array.length img.Link.addr_of in
+  List.map (fun (raw, dinfo) -> (img.Link.addr_of.(raw mod n), dinfo)) records
+
+(* {!synth_all_axes} through the sequential reference loops. *)
+let seq_all_axes rd img =
+  {
+    Replay.nocaches =
+      List.map
+        (fun bus -> Replay.Seq.nocache rd ~bus_bytes:bus)
+        synth_all_axes.Replay.buses;
+    cacheds = List.map (seq_cached rd) synth_all_axes.Replay.caches;
+    pipes = Replay.Seq.pipelines rd synth_cfgs img;
+  }
 
 (* The pipeline grid on synthetic traces: pcs are real instruction
    addresses of a compiled image (so descriptors exist) but in arbitrary
@@ -294,23 +344,6 @@ let test_fetch_events () =
    stresses the raw fetch paths (2-byte bus, sub-word sub-blocks)
    alongside the run-length ones. *)
 let synthetic_upipelines =
-  let images =
-    lazy
-      (List.map
-         (fun t -> (t, Compile.compile t (Suite.find "towers").Suite.source))
-         [ Target.d16; Target.dlxe ])
-  in
-  let cfgs =
-    [
-      Uconfig.nocache ~bus_bytes:2 ~wait_states:3;
-      Uconfig.nocache ~bus_bytes:8 ~wait_states:1;
-      (let c = Memsys.cache_config ~size:256 ~block:16 ~sub:2 in
-       Uconfig.cached ~icache:c ~dcache:c ~miss_penalty:5);
-      (let c = Memsys.cache_config ~size:1024 ~block:32 ~sub:4 in
-       Uconfig.cached ~icache:c ~dcache:c ~miss_penalty:8);
-    ]
-  in
-  let all_axis_geos = [ (256, 16, 2); (1024, 32, 4); (64, 8, 8) ] in
   QCheck.Test.make
     ~name:"pipeline grid equals sequential replay on synthetic traces"
     ~count:25
@@ -318,47 +351,61 @@ let synthetic_upipelines =
     (fun records ->
       List.for_all
         (fun ((t : Target.t), (img : Link.image)) ->
-          let n = Array.length img.Link.addr_of in
-          let records =
-            List.map
-              (fun (raw, dinfo) -> (img.Link.addr_of.(raw mod n), dinfo))
-              records
-          in
+          let records = onto_image img records in
           Capture.with_temp (fun path ->
               let rd, _ =
                 roundtrip ~chunk_records:5 ~insn_bytes:(Target.insn_bytes t)
                   records path
               in
-              let expect = Replay.Seq.pipelines rd cfgs img in
+              let all_expect = seq_all_axes rd img in
+              let expect = all_expect.Replay.pipes in
               let run ?map spec = Replay.run ?map ~img rd spec in
               let par = Some (fun f xs -> Pool.map ~jobs:3 f xs) in
-              (* Pipelines alone, and every axis at once: the caches
-                 include both cached configurations' pairs, so those
-                 automatons are shared between two axes. *)
-              let pipes_only = { Replay.empty with pipelines = cfgs } in
-              let all_axes =
-                {
-                  Replay.buses = [ 2; 8 ];
-                  caches = List.map cache_pair all_axis_geos;
-                  pipelines = cfgs;
-                }
-              in
-              let all_expect =
-                {
-                  Replay.nocaches =
-                    List.map
-                      (fun bus -> Replay.Seq.nocache rd ~bus_bytes:bus)
-                      all_axes.Replay.buses;
-                  cacheds = List.map (seq_cached rd) all_axes.Replay.caches;
-                  pipes = expect;
-                }
-              in
+              (* Pipelines alone, and every axis at once. *)
+              let pipes_only = { Replay.empty with pipelines = synth_cfgs } in
               List.for_all
                 (fun map ->
                   (run ?map pipes_only).Replay.pipes = expect
-                  && run ?map all_axes = all_expect)
+                  && run ?map synth_all_axes = all_expect)
                 [ None; par ]))
-        (Lazy.force images))
+        (Lazy.force synth_images))
+
+(* The execution as the chunk source: a synthetic stream fed through
+   {!Replay.stream} at 1-, 7- and 512-record chunks equals {!Replay.run}
+   over the same stream captured at that chunk size, and {!Replay.Seq},
+   sequential and with [~map] — so the last partial chunk is flushed and
+   the record count is exact whatever the stream's length. *)
+let synthetic_stream =
+  QCheck.Test.make
+    ~name:"streamed replay equals stored replay on synthetic streams"
+    ~count:20
+    (QCheck.make QCheck.Gen.(list_size (int_bound 150) gen_record))
+    (fun records ->
+      let pool = Pool.create ~jobs:2 in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          List.for_all
+            (fun ((t : Target.t), (img : Link.image)) ->
+              let records = onto_image img records in
+              let insn_bytes = Target.insn_bytes t in
+              List.for_all
+                (fun chunk_records ->
+                  let rd =
+                    Capture.of_records ~chunk_records ~insn_bytes records
+                  in
+                  let expect = seq_all_axes rd img in
+                  List.for_all
+                    (fun map ->
+                      let (), live =
+                        Replay.stream ?map ~img ~chunk_records ~insn_bytes
+                          synth_all_axes (feed records)
+                      in
+                      live = expect
+                      && live = Replay.run ?map ~img rd synth_all_axes)
+                    [ None; Some (fun f xs -> Pool.map ~pool f xs) ])
+                [ 1; 7; 512 ])
+            (Lazy.force synth_images)))
 
 (* Real compiled programs, via the statement fuzzer's generator. *)
 let progfuzz_roundtrip () =
@@ -759,6 +806,23 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
   check_all "seq" (Replay.run ~img rd spec);
   check_all "par"
     (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) ~img rd spec);
+  (* The execution as the chunk source: one more run of the program
+     through {!Replay.stream}, no trace written — sequential, and with
+     every chunk stepped on a pool worker while the execution waits. *)
+  let live ?map () =
+    snd
+      (Replay.stream ?map ~img ~chunk_records:10_000
+         ~insn_bytes:(Target.insn_bytes t) spec (fun hook ->
+           Machine.run
+             ~on_insn:(fun ~iaddr ~dinfo -> hook ~pc:iaddr ~dinfo)
+             img))
+  in
+  check_all "live seq" (live ());
+  let pool = Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      check_all "live par" (live ~map:(fun f xs -> Pool.map ~pool f xs) ()));
   (match Replay.run rd { spec with Replay.buses = [ 4 ] } with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail (name "Replay.run without ~img accepted"))
@@ -846,6 +910,7 @@ let tests =
     Alcotest.test_case "fetch events at granule edges" `Quick
       test_fetch_events;
     QCheck_alcotest.to_alcotest synthetic_upipelines;
+    QCheck_alcotest.to_alcotest synthetic_stream;
     Alcotest.test_case "compiled programs roundtrip" `Slow progfuzz_roundtrip;
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
