@@ -7,6 +7,7 @@
 module Link = Repro_link.Link
 module Machine = Repro_sim.Machine
 module Insn = Repro_core.Insn
+module Memo = Repro_harness.Memo
 
 let () =
   let bench = if Array.length Sys.argv > 1 then Sys.argv.(1) else "pi" in
@@ -23,17 +24,20 @@ let () =
   in
   (* The compile+simulate is the expensive part; the whole profile (header
      stats and sorted hot rows) is persisted in the run cache. *)
-  let key =
-    Repro_harness.Diskcache.key
-      [
-        "profile"; bench;
-        Repro_harness.Runs.bench_fingerprint bench;
-        Repro_core.Target.describe target;
-        Repro_harness.Runs.knobs_descr;
-      ]
+  let profiles : (string * (int * int * string * string) list) Memo.t =
+    Memo.on_disk "profile"
   in
-  let (header : string), (rows : (int * int * string * string) list) =
-    Repro_harness.Diskcache.memo key (fun () ->
+  let key =
+    Memo.key profiles (bench, target.Repro_core.Target.name) ~disk:(fun () ->
+        [
+          bench;
+          Repro_harness.Runs.bench_fingerprint bench;
+          Repro_core.Target.describe target;
+          Repro_harness.Runs.knobs_descr;
+        ])
+  in
+  let header, rows =
+    Memo.get key (fun () ->
         let b = Repro_workloads.Suite.find bench in
         let img = Repro_harness.Compile.compile target b.source in
         let counts = Array.make (Array.length img.Link.insns) 0 in

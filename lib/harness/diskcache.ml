@@ -111,14 +111,6 @@ let store (k : string) (v : 'a) =
     with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
   end
 
-let memo (k : string) (compute : unit -> 'a) : 'a =
-  match find k with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    store k v;
-    v
-
 let clear () =
   let d = dir () in
   if Sys.file_exists d && Sys.is_directory d then

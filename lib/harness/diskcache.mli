@@ -14,18 +14,15 @@
     entries in any other envelope read as misses and are regenerated,
     while warm hits pay only a cheap checksum pass.
 
-    Values are stored with [Marshal]; each key namespace must map to a
-    single result type (callers prefix keys with a kind tag). *)
+    Values are stored with [Marshal].  Measurements reach the cache
+    through {!Memo}, whose families give each key namespace one value
+    type. *)
 
 val key : string list -> string
 (** Hex digest of the parts plus the cache-format version. *)
 
 val find : string -> 'a option
 val store : string -> 'a -> unit
-
-val memo : string -> (unit -> 'a) -> 'a
-(** [memo k f] returns the cached value for [k], or computes, stores and
-    returns it. *)
 
 val dir : unit -> string
 val set_dir : string -> unit

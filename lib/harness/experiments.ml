@@ -179,9 +179,10 @@ let fig10 () =
     [ A.bars ~max_value:1.3 entries ]
 
 (* Table 4: dynamic frequencies of DLXe/16/2 instructions that exceed D16's
-   immediate capabilities.  The traced classification is expensive, so the
-   triple is memoized in process and in the disk cache. *)
-let immediate_frequencies_memo = ref None
+   immediate capabilities.  The counting runs are expensive, so the triple
+   is memoized in process and in the disk cache. *)
+let tab4_frequencies : (float * float * float) Memo.t =
+  Memo.on_disk "tab4-immediate-frequencies"
 
 let compute_immediate_frequencies () =
   let target = Target.dlxe_16_2 in
@@ -226,19 +227,12 @@ let compute_immediate_frequencies () =
   (fl !cmpi /. t, fl !alui /. t, fl !disp /. t)
 
 let immediate_frequencies () =
-  match !immediate_frequencies_memo with
-  | Some v -> v
-  | None ->
-    let key =
-      Diskcache.key
-        ("tab4-immediate-frequencies"
-        :: Target.describe Target.dlxe_16_2
-        :: Runs.knobs_descr
-        :: List.map Runs.bench_fingerprint suite_names)
-    in
-    let v = Diskcache.memo key compute_immediate_frequencies in
-    immediate_frequencies_memo := Some v;
-    v
+  Memo.get
+    (Memo.key tab4_frequencies ("tab4", "") ~disk:(fun () ->
+         Target.describe Target.dlxe_16_2
+         :: Runs.knobs_descr
+         :: List.map Runs.bench_fingerprint suite_names))
+    compute_immediate_frequencies
 
 let tab4 () =
   let c, a, d = immediate_frequencies () in
@@ -1103,7 +1097,8 @@ let ablations : (string * Compile.ablation) list =
     ("no-opt", { Compile.opt_flags = Opt.no_flags; fill_delay_slots = false; schedule_loads = false });
   ]
 
-let xtab1_memo = ref None
+let xtab1_ratios : (string * (string * float list) list) list Memo.t =
+  Memo.on_disk "xtab1-ablation"
 
 (* Path-length ratios per target: (target name, (ablation name, ratio per
    program) list) list.  The unablated compile is exactly what {!Runs.stats}
@@ -1136,21 +1131,14 @@ let compute_xtab1 () : (string * (string * float list) list) list =
 
 let xtab1 () =
   let data =
-    match !xtab1_memo with
-    | Some d -> d
-    | None ->
-      let key =
-        Diskcache.key
-          (("xtab1-ablation" :: Runs.knobs_descr
-            :: List.map Target.describe [ d16; dlxe ])
-          @ List.map Runs.bench_fingerprint ablation_programs
-          @ List.map
-              (fun (name, ab) -> name ^ "=" ^ Compile.describe_ablation ab)
-              ablations)
-      in
-      let d = Diskcache.memo key compute_xtab1 in
-      xtab1_memo := Some d;
-      d
+    Memo.get
+      (Memo.key xtab1_ratios ("xtab1", "") ~disk:(fun () ->
+           (Runs.knobs_descr :: List.map Target.describe [ d16; dlxe ])
+           @ List.map Runs.bench_fingerprint ablation_programs
+           @ List.map
+               (fun (name, ab) -> name ^ "=" ^ Compile.describe_ablation ab)
+               ablations))
+      compute_xtab1
   in
   A.make
     ~caption:

@@ -183,7 +183,7 @@ let for_experiment id =
   | "tab4" | "xtab1" ->
     (* These drivers run their own executions — tab4's counting runs,
        xtab1's ablated compiles (its baselines are the stats pairs' path
-       lengths) — and cache the derived numbers directly in
-       {!Diskcache}. *)
+       lengths) — and memoize the derived numbers in {!Memo} families of
+       their own. *)
     []
   | _ -> stats_specs ~benches:suite_names ~targets:Target.all

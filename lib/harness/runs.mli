@@ -15,21 +15,23 @@
     filled only on request ({!trace_reader}: [trace:] specs,
     [tracedump]).
 
-    One lock per (benchmark, target) serializes the pair's executions
-    (sweep, stats, fusion, trace capture): a request that arrives while
-    the pair's sweep execution runs waits for it, then reads what it
-    installed.
-
-    Two memo layers back every accessor:
+    Every measurement is one {!Memo} family (compiled image, trace
+    reader, stats, fusion counters, cache grid, pipeline sweep) keyed by
+    the (benchmark, target) pair, so {!Memo}'s policy backs every
+    accessor:
 
     - an in-process table, safe to populate from multiple domains (the
-      {!Pool} scheduler runs disjoint requests in parallel; lookups and
-      insertions are mutex-guarded, the measurement work itself is not);
-    - the persistent {!Diskcache} under [_runs_cache/], keyed by a digest
-      of the benchmark source (runtime library included), the full target
+      {!Pool} scheduler runs disjoint requests in parallel);
+    - for all but the image and the trace reader, the persistent
+      {!Diskcache} under [_runs_cache/], keyed by a digest of the
+      benchmark source (runtime library included), the full target
       description and the harness compiler knobs, so repeated process
       invocations skip compile+simulate entirely and any change to the
-      inputs invalidates the entry. *)
+      inputs invalidates the entry;
+    - the pair's flight, shared by all its families, around every
+      compute: a pair compiles once, and a request that arrives while
+      the pair's sweep execution runs waits for it, then reads the stats
+      and fusion counters that execution put. *)
 
 type stats = {
   bench : string;
@@ -79,10 +81,11 @@ val uarch :
   Repro_uarch.Uconfig.t ->
   Repro_uarch.Pipeline.result
 (** Cycle-accurate pipeline-model result (stall breakdown, cache counters)
-    for one memory configuration.  Memoized (keyed structurally on the
-    configuration — the render paths probe hundreds of times); the first
-    request for a (benchmark, target) fills the standard sweep
-    ({!ensure_sweeps} [~uarch:true]).
+    for one memory configuration.  Memoized: the pair's sweep is one
+    entry, and the render paths' hundreds of probes find a configuration
+    by its position in {!standard_uarch_configs}, with no digest or
+    describe string per probe.  The first request for a (benchmark,
+    target) fills the standard sweep ({!ensure_sweeps} [~uarch:true]).
 
     @raise Invalid_argument naming the configuration if it is not in
       {!standard_uarch_configs}. *)
@@ -154,12 +157,14 @@ val trace_path : string -> Repro_core.Target.t -> string
 val image : string -> Repro_core.Target.t -> Repro_link.Link.image
 
 val clear_memo : unit -> unit
-(** Drop the in-process tables only; the disk cache persists. *)
+(** {!Memo.clear}: drop every in-process table; the disk cache persists. *)
 
 (** {2 Cache keys}
 
-    Exposed for tests and for drivers that disk-cache derived results
-    (profiles, trace classifications) with the same invalidation rules. *)
+    The disk keys of the entries above, exposed for tests and the serve
+    plane.  Drivers that memoize derived results (profiles, tab4's
+    counts) digest {!bench_fingerprint} and {!knobs_descr} into their own
+    keys for the same invalidation rules. *)
 
 val stats_key : string -> Repro_core.Target.t -> string
 val grid_key : string -> Repro_core.Target.t -> string

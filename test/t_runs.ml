@@ -6,6 +6,7 @@
 module Target = Repro_core.Target
 module Runs = Repro_harness.Runs
 module Diskcache = Repro_harness.Diskcache
+module Memo = Repro_harness.Memo
 module Plan = Repro_harness.Plan
 module Pool = Repro_harness.Pool
 module Experiments = Repro_harness.Experiments
@@ -29,6 +30,12 @@ let with_temp_cache f =
       (try Sys.rmdir dir with Sys_error _ -> ());
       Diskcache.set_dir old)
     f
+
+(* Two test families.  An entry of [entries] named [n] lives on disk under
+   [Diskcache.key ["t_runs"; n]]. *)
+let entries : (int * string) Memo.t = Memo.on_disk "t_runs"
+let side : int Memo.t = Memo.on_disk "t_runs-side"
+let entry name = Memo.key entries (name, "") ~disk:(fun () -> [ name ])
 
 let test_disk_roundtrip () =
   with_temp_cache (fun () ->
@@ -122,10 +129,10 @@ let test_corrupt_entry_is_miss () =
       Alcotest.(check (pair int string))
         "memo regenerates"
         (5678, "fresh")
-        (Diskcache.memo key (fun () -> (5678, "fresh"))))
+        (Memo.get (entry "corrupt") (fun () -> (5678, "fresh"))))
 
 (* Entries in the retired pre-crc32c envelope (16-byte MD5 then the
-   marshaled payload, no magic) read as misses, and [memo] regenerates
+   marshaled payload, no magic) read as misses, and {!Memo.get} regenerates
    them in the current envelope.  Written by hand here — the store only
    emits the current envelope. *)
 let test_legacy_envelope_readable () =
@@ -150,9 +157,109 @@ let test_legacy_envelope_readable () =
         "legacy envelope is a miss" None (Diskcache.find key);
       Alcotest.(check (pair int string))
         "memo regenerates" (8, "fresh")
-        (Diskcache.memo key (fun () -> (8, "fresh")));
+        (Memo.get (entry "legacy-envelope") (fun () -> (8, "fresh")));
       Alcotest.(check (option (pair int string)))
         "regenerated entry hits" (Some (8, "fresh")) (Diskcache.find key))
+
+(* The memo policy itself: memory, then disk, then one compute per
+   flight, then store. *)
+
+let test_memo_memory_hit () =
+  with_temp_cache (fun () ->
+      let k = entry "memory-hit" in
+      Alcotest.(check (pair int string))
+        "computed" (1, "a")
+        (Memo.get k (fun () -> (1, "a")));
+      let hits = Diskcache.hit_count () and misses = Diskcache.miss_count () in
+      Alcotest.(check (pair int string))
+        "in-process hit" (1, "a")
+        (Memo.get k (fun () -> Alcotest.fail "recomputed"));
+      Alcotest.(check int) "no disk hit" hits (Diskcache.hit_count ());
+      Alcotest.(check int) "no disk miss" misses (Diskcache.miss_count ()))
+
+let test_memo_disk_hit_installed () =
+  with_temp_cache (fun () ->
+      let k = entry "disk-hit" in
+      Diskcache.store (Memo.disk_key k) (2, "disk");
+      let hits = Diskcache.hit_count () and misses = Diskcache.miss_count () in
+      Alcotest.(check (option (pair int string)))
+        "disk hit" (Some (2, "disk")) (Memo.find k);
+      Alcotest.(check int) "one disk read" (hits + 1) (Diskcache.hit_count ());
+      Alcotest.(check (pair int string))
+        "installed" (2, "disk")
+        (Memo.get k (fun () -> Alcotest.fail "recomputed"));
+      Alcotest.(check int) "no second disk hit" (hits + 1)
+        (Diskcache.hit_count ());
+      Alcotest.(check int) "no disk miss" misses (Diskcache.miss_count ()))
+
+let test_memo_compute_raises () =
+  with_temp_cache (fun () ->
+      let k = entry "raises" in
+      Alcotest.check_raises "the compute's exception" (Failure "boom")
+        (fun () -> ignore (Memo.get k (fun () -> failwith "boom")));
+      Alcotest.(check (option (pair int string)))
+        "nothing stored" None (Memo.find k);
+      (* Another domain takes the flight and recomputes. *)
+      let again =
+        Domain.join
+          (Domain.spawn (fun () -> Memo.get k (fun () -> (3, "retry"))))
+      in
+      Alcotest.(check (pair int string)) "recomputed" (3, "retry") again)
+
+let test_memo_single_flight () =
+  with_temp_cache (fun () ->
+      let k = entry "single-flight" in
+      let computes = Atomic.make 0 in
+      let compute () =
+        Atomic.incr computes;
+        Unix.sleepf 0.1;
+        (4, "once")
+      in
+      let got =
+        List.map Domain.join
+          (List.init 2 (fun _ -> Domain.spawn (fun () -> Memo.get k compute)))
+      in
+      Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+      List.iter
+        (Alcotest.(check (pair int string)) "same value" (4, "once"))
+        got)
+
+(* Keys with one identity share a flight across families: a request on
+   family B that arrives while A's compute runs waits, then reads the
+   value A put for B. *)
+let test_memo_shared_flight () =
+  with_temp_cache (fun () ->
+      let id = ("shared-flight", "") in
+      let a = Memo.key side id ~disk:(fun () -> [ "shared-flight" ]) in
+      let b = Memo.key entries id ~disk:(fun () -> [ "shared-flight" ]) in
+      let started = Atomic.make false in
+      let da =
+        Domain.spawn (fun () ->
+            Memo.get a (fun () ->
+                Atomic.set started true;
+                Unix.sleepf 0.2;
+                Memo.put b (5, "from A");
+                1))
+      in
+      while not (Atomic.get started) do
+        Domain.cpu_relax ()
+      done;
+      let vb = Memo.get b (fun () -> Alcotest.fail "B's compute ran") in
+      Alcotest.(check int) "A's value" 1 (Domain.join da);
+      Alcotest.(check (pair int string)) "B reads A's put" (5, "from A") vb)
+
+(* A pair's image is a family on the pair's flight: two domains that ask
+   for one cold image share a single compile. *)
+let test_image_compiles_once () =
+  Runs.clear_memo ();
+  let images =
+    List.map Domain.join
+      (List.init 2 (fun _ ->
+           Domain.spawn (fun () -> Runs.image "queens" Target.d16)))
+  in
+  match images with
+  | [ a; b ] -> Alcotest.(check bool) "one compile" true (a == b)
+  | _ -> assert false
 
 (* Same policy for the trace store: a truncated stored trace is a miss
    and the next reader request re-captures it. *)
@@ -371,6 +478,17 @@ let tests =
       test_corrupt_entry_is_miss;
     Alcotest.test_case "legacy envelope readable" `Quick
       test_legacy_envelope_readable;
+    Alcotest.test_case "memo: in-process hit reads no disk" `Quick
+      test_memo_memory_hit;
+    Alcotest.test_case "memo: disk hit is installed" `Quick
+      test_memo_disk_hit_installed;
+    Alcotest.test_case "memo: failed compute stores nothing" `Quick
+      test_memo_compute_raises;
+    Alcotest.test_case "memo: one compute per cold key" `Quick
+      test_memo_single_flight;
+    Alcotest.test_case "memo: flight shared across families" `Quick
+      test_memo_shared_flight;
+    Alcotest.test_case "image compiles once" `Quick test_image_compiles_once;
     Alcotest.test_case "trace store regenerates" `Slow
       test_trace_store_regenerates;
     Alcotest.test_case "stats = nocache replay" `Slow test_stats_match_replay;
