@@ -42,6 +42,19 @@ let substrate_tests =
     (let img = Compile.compile Target.d16 queens in
      Test.make ~name:"simulate:d16:queens"
        (Staged.stage (fun () -> ignore (Machine.run img))));
+    (* What a cold Runs.stats runs: one execution whose records feed the
+       chunk engine's two fetch buffers (bus 4 and 8), which step raw pcs,
+       so no fetch event is packed.  CI tracks it against
+       simulate:d16:queens. *)
+    (let img = Compile.compile Target.d16 queens in
+     Test.make ~name:"stats:d16:queens"
+       (Staged.stage (fun () ->
+            ignore
+              (Replay.stream ~insn_bytes:2 { Replay.empty with buses = [ 4; 8 ] }
+                 (fun hook ->
+                   Machine.run
+                     ~on_insn:(fun ~iaddr ~dinfo -> hook ~pc:iaddr ~dinfo)
+                     img)))));
     (* The retained reference interpreter, timed next to the threaded
        fast path: the capture-vs-simulate CI ratio is only meaningful if
        simulate:d16 itself does not quietly regress to this. *)
@@ -293,9 +306,10 @@ let uarch_tests =
   ]
 
 (* ISA-variant substrates (lib/isavar): what the fusion counters cost —
-   one execution streamed through the fusion engine, as {!Runs.fusion}
-   runs it (plan construction is hoisted — it is per-image, not
-   per-run) — and what the cache grid costs over a mixed-width D16m
+   one execution streamed through the fusion engine alone, the stream a
+   cold {!Runs.fusion} adds to its pair's execution (plan construction is
+   hoisted — it is per-image, not per-run) — and what the cache grid
+   costs over a mixed-width D16m
    trace, whose wide fetches at [pc mod 4 = 2] straddle a 4-byte granule
    and replay as single straddle events between the runs.
    grid:d16:queens runs the same four geometries over the D16 queens

@@ -3,7 +3,9 @@ type id = string * string
 type 'a t = {
   tag : string option;  (* the Diskcache namespace, if persisted *)
   lock : Mutex.t;
-  tbl : (id, 'a) Hashtbl.t;
+  tbl : (string, (string, 'a) Hashtbl.t) Hashtbl.t;
+      (* by the identity's first part, then its second: a probe builds no
+         pair *)
 }
 
 type 'a key = { family : 'a t; id : id; disk : unit -> string list }
@@ -66,7 +68,21 @@ let with_flight id f =
   end
 
 let install k v =
-  Mutex.protect k.family.lock (fun () -> Hashtbl.replace k.family.tbl k.id v)
+  let (a, b), tbl = (k.id, k.family.tbl) in
+  Mutex.protect k.family.lock (fun () ->
+      if not (Hashtbl.mem tbl a) then Hashtbl.add tbl a (Hashtbl.create 8);
+      Hashtbl.replace (Hashtbl.find tbl a) b v)
+
+(* The render paths probe thousands of times: a hit allocates nothing. *)
+let resident family a b =
+  Mutex.lock family.lock;
+  match Hashtbl.find (Hashtbl.find family.tbl a) b with
+  | v ->
+    Mutex.unlock family.lock;
+    v
+  | exception Not_found ->
+    Mutex.unlock family.lock;
+    raise Not_found
 
 let disk_key_opt k =
   Option.map (fun tag -> Diskcache.key (tag :: k.disk ())) k.family.tag
@@ -81,31 +97,34 @@ let put k v = store k (disk_key_opt k) v
 
 (* The in-process entry, else the disk entry under [dk ()], installed. *)
 let lookup k dk =
-  match
-    Mutex.protect k.family.lock (fun () -> Hashtbl.find_opt k.family.tbl k.id)
-  with
-  | Some _ as v -> v
-  | None ->
+  match resident k.family (fst k.id) (snd k.id) with
+  | v -> Some v
+  | exception Not_found ->
     let v = Option.bind (dk ()) Diskcache.find in
     Option.iter (install k) v;
     v
 
 let find k = lookup k (fun () -> disk_key_opt k)
 
-(* The render paths probe thousands of times: a hit allocates nothing. *)
-let get k compute =
-  Mutex.lock k.family.lock;
-  match Hashtbl.find k.family.tbl k.id with
-  | v ->
-    Mutex.unlock k.family.lock;
-    v
+(* The entry, else [compute ()] under the key's flight, stored unless
+   the compute put it itself ([fill]). *)
+let get_or ~stores k compute =
+  match resident k.family (fst k.id) (snd k.id) with
+  | v -> v
   | exception Not_found -> (
-    Mutex.unlock k.family.lock;
     let dk = disk_key_opt k in
     with_flight k.id @@ fun () ->
     match lookup k (fun () -> dk) with
     | Some v -> v
     | None ->
       let v = compute () in
-      store k dk v;
+      if stores then store k dk v;
       v)
+
+let get k compute = get_or ~stores:true k compute
+
+let fill k run =
+  get_or ~stores:false k (fun () ->
+      run ();
+      try resident k.family (fst k.id) (snd k.id)
+      with Not_found -> invalid_arg "Memo.fill: the run put no entry")

@@ -43,6 +43,16 @@ val get : 'a key -> (unit -> 'a) -> 'a
     (installed); else [compute ()], stored on disk and installed.  A
     compute that raises stores nothing and releases the flight. *)
 
+val fill : 'a key -> (unit -> unit) -> 'a
+(** Like {!get}, but a cold entry comes from [run ()], which {!put}s it
+    and whatever else of the identity it measured.
+    @raise Invalid_argument if [run ()] put no entry for the key. *)
+
+val resident : 'a t -> string -> string -> 'a
+(** [resident family a b]: the in-process entry for identity [(a, b)],
+    with no disk read, no flight and no allocation.
+    @raise Not_found if there is none. *)
+
 val find : 'a key -> 'a option
 (** The in-process entry, else the disk entry (installed).  Never
     computes and takes no flight. *)

@@ -119,10 +119,11 @@ let cache_names =
 (* The cache benchmarks' fused sweeps go first: they are the long poles
    (one execution feeds all 25 grid geometries plus the full
    pipeline-configuration sweep), so under a parallel pool they start
-   immediately.  The rest of the suite takes plain uarch sweeps.  Each
-   sweep execution also fills its pair's stats and, on D16, its fusion
-   counters, so the stats units that come last find the swept pairs in
-   the memo and execute only the unswept ones.  No unit writes a trace. *)
+   immediately.  The rest of the suite takes plain uarch sweeps.  A
+   pair's one execution ({!Runs}) also fills its stats and, on D16, its
+   fusion counters, so the stats units that come last find the swept
+   pairs in the memo and execute only the unswept ones, with the bus-4
+   and bus-8 axes alone.  No unit writes a trace. *)
 let full () =
   let non_cache =
     List.filter (fun b -> not (List.mem b cache_names)) suite_names

@@ -65,9 +65,10 @@ val full : unit -> t
     sweeps for the three cache benchmarks (one execution each feeds all
     25 geometries and the full configuration sweep), the pipeline-model
     sweeps for the remaining suite, then suite stats on every target —
-    most expensive units first.  Each sweep execution also fills its
-    pair's stats (and D16 fusion counters), so the stats units of swept
-    pairs find the memo warm.  No unit captures a trace. *)
+    most expensive units first.  A pair's one execution fills whatever
+    of it is cold, its stats (and D16 fusion counters) included, so the
+    stats units of swept pairs find the memo warm.  No unit captures a
+    trace. *)
 
 val for_experiment : string -> t
 (** The plan for one experiment id (empty for the two drivers that manage

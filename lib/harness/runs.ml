@@ -175,17 +175,12 @@ let trace_reader bench (target : Target.t) =
 
 let ensure_trace bench target = ignore (trace_reader bench target)
 
-(* Suite stats. -------------------------------------------------------------
+(* The pair's one execution. ---------------------------------------------
 
-   The cacheless fetch-request counts depend only on the dynamic address
-   stream, so they come from the execution that yields the architectural
-   counters.  A swept pair gets them from its sweep execution, as the
-   bus-4 and bus-8 axes of the streamed replay ({!ensure_sweeps}).  Any
-   other pair runs alone here: the [on_insn] hook streams every
-   retirement through one {!Memsys.Fetchbuf} per bus width — the model
-   {!Replay.Seq.nocache} replays — and never touches the trace store.
-   The hook captures one record of mutable counters and allocates nothing
-   per instruction. *)
+   Every cold measurement of a pair comes from one execution whose hook
+   feeds the chunk engine ({!Replay.stream}) and, when the fusion
+   counters are cold, the fusion stream.  The suite stats' requests are
+   its bus-4 and bus-8 axes.  No trace is written. *)
 
 let stats_of bench (target : Target.t) img (r : Machine.result)
     ~(n32 : Memsys.nocache) ~(n64 : Memsys.nocache) =
@@ -208,50 +203,6 @@ let stats_of bench (target : Target.t) img (r : Machine.result)
     exit_code = r.Machine.exit_code;
   }
 
-type fetch_counters = {
-  fb32 : Memsys.Fetchbuf.t;
-  fb64 : Memsys.Fetchbuf.t;
-  mutable dreq32 : int;
-  mutable dreq64 : int;
-}
-
-let compute_stats bench (target : Target.t) =
-  let img = image bench target in
-  let c =
-    {
-      fb32 = Memsys.Fetchbuf.make ~bus_bytes:4;
-      fb64 = Memsys.Fetchbuf.make ~bus_bytes:8;
-      dreq32 = 0;
-      dreq64 = 0;
-    }
-  in
-  let on_insn ~iaddr ~dinfo =
-    (* Bit 0 of the address marks a wide (4-byte) instruction on a
-       mixed-width target; its tail halfword may need a second bus
-       request. *)
-    let pc = iaddr land lnot 1 in
-    ignore (Memsys.Fetchbuf.fetch c.fb32 ~addr:pc);
-    ignore (Memsys.Fetchbuf.fetch c.fb64 ~addr:pc);
-    if iaddr land 1 <> 0 then begin
-      ignore (Memsys.Fetchbuf.fetch c.fb32 ~addr:(pc + 2));
-      ignore (Memsys.Fetchbuf.fetch c.fb64 ~addr:(pc + 2))
-    end;
-    if dinfo <> 0 then begin
-      let bytes = (dinfo lsr 1) land 0xF in
-      c.dreq32 <- c.dreq32 + Memsys.data_requests ~bus_bytes:4 ~bytes;
-      c.dreq64 <- c.dreq64 + Memsys.data_requests ~bus_bytes:8 ~bytes
-    end
-  in
-  let r = Machine.run ~on_insn img in
-  stats_of bench target img r
-    ~n32:
-      { Memsys.irequests = Memsys.Fetchbuf.requests c.fb32; drequests = c.dreq32 }
-    ~n64:
-      { Memsys.irequests = Memsys.Fetchbuf.requests c.fb64; drequests = c.dreq64 }
-
-let stats bench target =
-  Memo.get (stats_k bench target) (fun () -> compute_stats bench target)
-
 let cache_pair (size, block, sub) =
   let cfg = Memsys.cache_config ~size ~block ~sub in
   { Replay.icache = cfg; dcache = cfg }
@@ -261,26 +212,32 @@ let cache_pair (size, block, sub) =
 let fusion_stream img =
   Fusion.stream_start (Fusion.plan Fusion.default_rules img)
 
-(* The sweep execution, under the pair's flight: one {!Machine.run} whose
-   hook feeds the chunk engine, and the fusion stream when D16's counters
-   are cold.  It puts the pair's stats and fusion counters when it made
-   them, and returns the cache grid's and the pipeline sweep's results
-   (empty unless [grid], [uarch]). *)
-let execute_sweeps ?map ~grid ~uarch bench (target : Target.t) =
-  let img = image bench target in
+(* The disk format stays describe-keyed (it predates the structural
+   lookups), so existing cache entries remain valid. *)
+let sweep_entries pipes =
+  List.map2 (fun cfg res -> (Uconfig.describe cfg, res)) standard_uarch_configs
+    pipes
+
+type measurement = Stats | Fusion | Grid | Sweep
+
+(* Under the pair's flight: measure [own], known cold, and every other
+   family of the pair found cold — the stats always, the fusion counters
+   on D16, the pipeline sweep alongside the grid when [with_uarch] — and
+   put them all. *)
+let execute ?map ~with_uarch own bench (target : Target.t) =
+  let cold m k asked = m = own || (asked && Option.is_none (Memo.find k)) in
   let sk = stats_k bench target and fk = fusion_k bench target in
-  let want_stats = Option.is_none (Memo.find sk) in
-  let fusion =
-    if
-      target.Target.name = Target.d16.Target.name
-      && Option.is_none (Memo.find fk)
-    then Some (fusion_stream img)
-    else None
-  in
+  let gk = grid_k bench target and wk = sweep_k bench target in
+  let stats = cold Stats sk true in
+  let fusion = cold Fusion fk (target.Target.name = Target.d16.Target.name) in
+  let grid = own = Grid in
+  let uarch = cold Sweep wk (grid && with_uarch) in
+  let img = image bench target in
+  let fusion = if fusion then Some (fusion_stream img) else None in
   let r, res =
     Replay.stream ?map ~img ~insn_bytes:(Target.insn_bytes target)
       {
-        Replay.buses = (if want_stats then [ 4; 8 ] else []);
+        Replay.buses = (if stats then [ 4; 8 ] else []);
         caches = (if grid then List.map cache_pair standard_grid else []);
         pipelines = (if uarch then standard_uarch_configs else []);
       }
@@ -299,48 +256,50 @@ let execute_sweeps ?map ~grid ~uarch bench (target : Target.t) =
   | [ n32; n64 ] -> Memo.put sk (stats_of bench target img r ~n32 ~n64)
   | _ -> ());
   Option.iter (fun st -> Memo.put fk (Fusion.stream_finish st)) fusion;
-  (res.Replay.cacheds, res.Replay.pipes)
+  if grid then Memo.put gk (List.combine standard_grid res.Replay.cacheds);
+  if uarch then Memo.put wk (sweep_entries res.Replay.pipes)
 
-(* The disk format stays describe-keyed (it predates the structural
-   lookups), so existing cache entries remain valid. *)
-let sweep_entries pipes =
-  List.map2 (fun cfg res -> (Uconfig.describe cfg, res)) standard_uarch_configs
-    pipes
+(* A hit builds nothing, neither key nor closure: the render paths probe
+   thousands of times. *)
+let measure ?map ~with_uarch family key own bench (target : Target.t) =
+  try Memo.resident family bench target.Target.name
+  with Not_found ->
+    Memo.fill (key bench target) (fun () ->
+        execute ?map ~with_uarch own bench target)
 
-(* The pair's cache grid; a cold grid's execution also yields the
-   pipeline sweep when [with_uarch] and that is cold too. *)
+let stats bench target =
+  measure ~with_uarch:false stats_memo stats_k Stats bench target
+
+let fusion bench target =
+  measure ~with_uarch:false fusions fusion_k Fusion bench target
+
 let grid ?map ~with_uarch bench target =
-  Memo.get (grid_k bench target) (fun () ->
-      let sk = sweep_k bench target in
-      let uarch = with_uarch && Option.is_none (Memo.find sk) in
-      let cacheds, pipes = execute_sweeps ?map ~grid:true ~uarch bench target in
-      if uarch then Memo.put sk (sweep_entries pipes);
-      List.combine standard_grid cacheds)
+  measure ?map ~with_uarch grids grid_k Grid bench target
 
 let sweep ?map bench target =
-  Memo.get (sweep_k bench target) (fun () ->
-      sweep_entries
-        (snd (execute_sweeps ?map ~grid:false ~uarch:true bench target)))
+  measure ?map ~with_uarch:false sweeps sweep_k Sweep bench target
 
 let ensure_sweeps ?map ~grid:g ~uarch bench target =
   if g then ignore (grid ?map ~with_uarch:uarch bench target);
   if uarch then ignore (sweep ?map bench target)
 
 (* A sweep's disk key digests its order, so a standard configuration's
-   entry is found by position: no digest and no describe string per
-   probe.  Anything off the standard sweeps is a programming error, named
-   in the exception before any compile or replay. *)
+   entry is found by position, with no digest, describe string or
+   closure per probe.  Anything off the standard sweeps is a programming
+   error, named in the exception before any compile or replay. *)
+let rec grid_index (size : int) (block : int) (sub : int) i = function
+  | [] -> -1
+  | (s, b, u) :: rest ->
+    if s = size && b = block && u = sub then i
+    else grid_index size block sub (i + 1) rest
+
 let cached bench target ~size ~block ~sub =
-  match
-    List.find_index
-      (fun (s, b, u) -> s = size && b = block && u = sub)
-      standard_grid
-  with
-  | Some i -> snd (List.nth (grid ~with_uarch:false bench target) i)
-  | None ->
+  match grid_index size block sub 0 standard_grid with
+  | -1 ->
     invalid_arg
       (Printf.sprintf "Runs.cached: %d/%d/%d is not a standard_grid geometry"
          size block sub)
+  | i -> snd (List.nth (grid ~with_uarch:false bench target) i)
 
 (* Cheaper than polymorphic equality on the cacheless configurations the
    render paths probe most. *)
@@ -351,22 +310,14 @@ let same_config (cfg : Uconfig.t) (c : Uconfig.t) =
   | Nocache _, Cached _ | Cached _, Nocache _ -> false
   | Cached _, Cached _ -> cfg == c || cfg = c
 
+let rec config_index cfg i = function
+  | [] -> -1
+  | c :: rest -> if same_config cfg c then i else config_index cfg (i + 1) rest
+
 let uarch bench target cfg =
-  match List.find_index (same_config cfg) standard_uarch_configs with
-  | Some i -> snd (List.nth (sweep bench target) i)
-  | None ->
+  match config_index cfg 0 standard_uarch_configs with
+  | -1 ->
     invalid_arg
       ("Runs.uarch: " ^ Uconfig.describe cfg
      ^ " is not a standard_uarch_configs configuration")
-
-(* Fusion counters stream their own execution when no sweep execution of
-   the pair has filled them. *)
-let fusion bench target =
-  Memo.get (fusion_k bench target) (fun () ->
-      let img = image bench target in
-      let st = fusion_stream img in
-      ignore
-        (Machine.run
-           ~on_insn:(fun ~iaddr ~dinfo:_ -> Fusion.stream_step st ~iaddr)
-           img);
-      Fusion.stream_finish st)
+  | i -> snd (List.nth (sweep bench target) i)

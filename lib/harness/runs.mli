@@ -4,15 +4,16 @@
     experiment shares one set of raw numbers.  The paper priced memory
     systems dinero-style, replaying a captured trace against each
     configuration, because its compiler, simulator and cache model were
-    separate programs.  Here they share one process, so the sweeps are
-    driven by the execution itself: one {!Repro_sim.Machine.run} per
-    cold (benchmark, target) streams its records through the chunk
-    engine ({!Repro_trace.Replay.stream}), which prices the standard
-    cache grid and the cycle-accurate pipeline sweep in the same pass —
-    and, on that same execution, the pair's suite {!stats} and (on D16)
-    its {!fusion} counters, when those are cold too.  No trace is
-    written.  The trace store under [_runs_cache/traces/] is an export,
-    filled only on request ({!trace_reader}: [trace:] specs,
+    separate programs.  Here they share one process, so every
+    measurement is driven by the execution itself: whichever accessor
+    finds a (benchmark, target) cold runs the pair's one
+    {!Repro_sim.Machine.run}, which streams its records through the
+    chunk engine ({!Repro_trace.Replay.stream}) and yields, in that one
+    pass, everything of the pair that is cold: the suite {!stats} (the
+    engine's bus-4 and bus-8 axes), on D16 the {!fusion} counters, and
+    the standard cache grid and pipeline sweep when asked for.  No trace
+    is written.  The trace store under [_runs_cache/traces/] is an
+    export, filled only on request ({!trace_reader}: [trace:] specs,
     [tracedump]).
 
     Every measurement is one {!Memo} family (compiled image, trace
@@ -30,8 +31,8 @@
       inputs invalidates the entry;
     - the pair's flight, shared by all its families, around every
       compute: a pair compiles once, and a request that arrives while
-      the pair's sweep execution runs waits for it, then reads the stats
-      and fusion counters that execution put. *)
+      the pair's execution runs waits for it, then reads what that
+      execution put. *)
 
 type stats = {
   bench : string;
@@ -53,12 +54,12 @@ type stats = {
 }
 
 val stats : string -> Repro_core.Target.t -> stats
-(** Memoized in process and on disk.  A swept pair's stats usually come
-    from its sweep execution ({!ensure_sweeps}); otherwise compile and
-    run once, streaming every retired instruction through a one-block
-    fetch buffer per bus width (4 and 8 bytes; the model
-    {!Repro_trace.Replay.Seq.nocache} replays) — no trace is captured,
-    stored, or decoded.  Either way the entry's bytes are the same. *)
+(** Memoized in process and on disk; a warm probe allocates nothing.  A
+    cold pair runs its one execution, whose chunk engine prices the
+    fetch and data requests as bus-4 and bus-8 axes (one-block fetch
+    buffers, the model {!Repro_trace.Replay.Seq.nocache} replays).  No
+    trace is captured, stored, or decoded, and the entry's bytes are the
+    same whichever accessor's execution filled it. *)
 
 val cached :
   string ->
@@ -83,8 +84,7 @@ val uarch :
 (** Cycle-accurate pipeline-model result (stall breakdown, cache counters)
     for one memory configuration.  Memoized: the pair's sweep is one
     entry, and the render paths' hundreds of probes find a configuration
-    by its position in {!standard_uarch_configs}, with no digest or
-    describe string per probe.  The first request for a (benchmark,
+    by its position in {!standard_uarch_configs}, allocating nothing.  The first request for a (benchmark,
     target) fills the standard sweep ({!ensure_sweeps} [~uarch:true]).
 
     @raise Invalid_argument naming the configuration if it is not in
@@ -101,11 +101,11 @@ val ensure_sweeps :
     grid ({!standard_grid}) when [grid], the pipeline-model sweep
     ({!standard_uarch_configs}) when [uarch].  A sweep already complete in
     memory or stored on disk is skipped; whatever is still cold comes from
-    one execution of the pair streamed through
+    the pair's one execution streamed through
     {!Repro_trace.Replay.stream}, so both sweeps share it and no trace
-    is written.  When the pair's {!stats} are cold (not in memory, not on
-    disk) the same execution also yields them, and on D16 its {!fusion}
-    counters likewise.  Each measurement has its own disk entry
+    is written.  That execution also yields the pair's {!stats} and, on
+    D16, its {!fusion} counters, when those are cold (not in memory, not
+    on disk).  Each measurement has its own disk entry
     ({!grid_key}, {!uarch_sweep_key}, {!stats_key}, {!fusion_key}),
     byte-identical whichever call filled it.  The unit of work {!Pool}
     schedules for cache and stall studies.  [?map] is the chunk engine's
@@ -117,10 +117,10 @@ val ensure_sweeps :
 val fusion : string -> Repro_core.Target.t -> Repro_isavar.Fusion.counters
 (** Macro-op fusion counters ({!Repro_isavar.Fusion.default_rules}) for
     one (benchmark, target): dynamic op count, per-rule fused pairs, and
-    the fused interlock clock, from one execution's committed-instruction
-    stream fed through {!Repro_isavar.Fusion.stream_step} — a D16 pair's
-    sweep execution when it ran cold, else an execution of its own.  No
-    trace is captured or replayed.  Memoized in process and on disk. *)
+    the fused interlock clock, from the pair's one execution (on D16,
+    whichever measurement ran it cold) fed through
+    {!Repro_isavar.Fusion.stream_step}.  No trace is captured or
+    replayed.  Memoized in process and on disk. *)
 
 val standard_uarch_configs : Repro_uarch.Uconfig.t list
 (** Cacheless bus 4 and 8 bytes at wait states 0..3, plus 4K and 16K split

@@ -23,15 +23,20 @@ let miss_rate s =
 type nocache = { irequests : int; drequests : int }
 
 (* The cacheless machine's one-block instruction buffer (paper Section
-   4.2), shared by the trace replays, the streamed stats and the
+   4.2), shared by the chunk engine, its sequential oracle and the
    cycle-accurate pipeline. *)
 module Fetchbuf = struct
-  type t = { bus_bytes : int; mutable block : int; mutable requests : int }
+  type t = { shift : int; mutable block : int; mutable requests : int }
 
-  let make ~bus_bytes = { bus_bytes; block = -1; requests = 0 }
+  let make ~bus_bytes =
+    if not (Repro_util.Bitops.is_pow2 bus_bytes) then
+      invalid_arg "Memsys.Fetchbuf.make: bus width is not a power of two";
+    { shift = Repro_util.Bitops.log2 bus_bytes; block = -1; requests = 0 }
 
+  (* Divides where [fetch_events] shifts: the sequential oracle fetches
+     through this one, so the two stay independent. *)
   let fetch b ~addr =
-    let block = addr / b.bus_bytes in
+    let block = addr / (1 lsl b.shift) in
     if block = b.block then false
     else begin
       b.block <- block;
@@ -39,23 +44,22 @@ module Fetchbuf = struct
       true
     end
 
-  (* A run lies in one bus block when the bus is at least the events'
-     granule, so only an event's first fetch can go to memory; a wide
-     straddle fetches both halfwords. *)
-  let fetch_events b events ~count_bits =
-    let bus_bytes = b.bus_bytes in
+  (* One fetch per traced pc; bit 0 marks a wide (4-byte) instruction,
+     whose tail halfword may need a second request. *)
+  let fetch_events b pcs =
+    let shift = b.shift in
     let block = ref b.block in
     let requests = ref b.requests in
-    for k = 0 to Array.length events - 1 do
-      let pc = Array.unsafe_get events k lsr count_bits in
+    for k = 0 to Array.length pcs - 1 do
+      let pc = Array.unsafe_get pcs k in
       let addr = pc land lnot 1 in
-      let first = addr / bus_bytes in
+      let first = addr lsr shift in
       if first <> !block then begin
         block := first;
         incr requests
       end;
       if pc land 1 <> 0 then begin
-        let tail = (addr + 2) / bus_bytes in
+        let tail = (addr + 2) lsr shift in
         if tail <> !block then begin
           block := tail;
           incr requests

@@ -142,15 +142,16 @@ module Fetchbuf : sig
   type t
 
   val make : bus_bytes:int -> t
+  (** @raise Invalid_argument if [bus_bytes] is not a power of two. *)
 
   val fetch : t -> addr:int -> bool
   (** Whether the fetch went to memory (address outside the buffer). *)
 
-  val fetch_events : t -> int array -> count_bits:int -> unit
-  (** Fetch a chunk's instruction stream, given as fetch events under
-      [count_bits] (see {!fetch_event_bits}).  Exact when the events were
-      built at a granule no larger than the bus, so a run lies in one bus
-      block and only its first fetch can miss the buffer. *)
+  val fetch_events : t -> int array -> unit
+  (** Fetch a chunk's instruction stream, given as its raw traced pcs
+      (bit 0 the wide mark: a wide instruction's tail halfword is a
+      second fetch).  No granule packing: a run of fetches costs the
+      buffer one compare each, less than packing it would. *)
 
   val requests : t -> int
 

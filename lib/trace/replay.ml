@@ -25,8 +25,8 @@ module Decoded = struct
   type t = {
     pcs : int array;  (* every record's fetch address, in order *)
     dinfos : int array;  (* the nonzero packed data records, in order *)
-    ev4 : int array;  (* fetch events at 4-byte granules *)
-    ev8 : int array;  (* fetch events at 8-byte granules *)
+    ev4 : int array;  (* fetch events at 4-byte granules, or empty *)
+    ev8 : int array;  (* fetch events at 8-byte granules, or empty *)
     insn_bytes : int;
   }
 
@@ -56,7 +56,7 @@ module Decoded = struct
 
   (* The i-stream to replay at a fetch-event granule, with its count
      bits: the packed events at 4 or 8 bytes, else (or when the chunk's
-     pcs do not pack) the raw pcs. *)
+     pcs do not pack, or were not packed there) the raw pcs. *)
   let fetches d ~granule =
     let packed =
       if granule = 8 then d.ev8 else if granule = 4 then d.ev4 else [||]
@@ -212,6 +212,7 @@ type engine = {
   step : Decoded.t -> chunk_result;
   absorb : chunk_result -> unit;
   finish : ic:int -> result;
+  pack : granule:int -> int array -> int array;  (* [||]: no key needs it *)
 }
 
 let engine ?img ~insn_bytes caller spec =
@@ -270,7 +271,12 @@ let engine ?img ~insn_bytes caller spec =
       pipes;
     }
   in
-  { step = chunk ~score ~insn_bytes keys; absorb; finish }
+  let pack ~granule pcs =
+    if Array.exists (fun k -> Mem.event_bytes k = granule) keys then
+      Memsys.fetch_events ~insn_bytes ~granule pcs
+    else [||]
+  in
+  { step = chunk ~score ~insn_bytes keys; absorb; finish; pack }
 
 let run ?map ?img rd spec =
   if is_empty spec then no_result
@@ -294,9 +300,10 @@ let run ?map ?img rd spec =
   end
 
 (* The execution as the chunk source.  The hook fills one chunk's pcs and
-   data records in place; a full chunk is packed into fetch events, stepped
-   and absorbed before the hook returns, so the buffers are reused and no
-   record outlives its chunk.  [?map] sees each chunk as a one-element
+   data records in place; a full chunk is packed into fetch events at the
+   granules the spec's keys replay at, stepped and absorbed before the
+   hook returns, so the buffers are reused and no record outlives its
+   chunk.  [?map] sees each chunk as a one-element
    batch: a span hook still times every chunk, and a pool map of one
    element runs it on the calling domain. *)
 let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
@@ -314,8 +321,8 @@ let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
         {
           Decoded.pcs;
           dinfos = Array.sub dinfos 0 !nd;
-          ev4 = Memsys.fetch_events ~insn_bytes ~granule:4 pcs;
-          ev8 = Memsys.fetch_events ~insn_bytes ~granule:8 pcs;
+          ev4 = e.pack ~granule:4 pcs;
+          ev8 = e.pack ~granule:8 pcs;
           insn_bytes;
         }
       in

@@ -42,11 +42,12 @@
     inside one aligned granule becomes one event (its first pc, wide mark
     stripped, plus a repeat count); a fetch whose span crosses a granule
     boundary (a wide D16m fetch at [pc mod 4 = 2], say) is a
-    {e straddle} event of its own at its traced pc.  Every trace gets
-    both arrays.  An automaton whose outcome is constant across a granule
-    (a cache sub-block or a fetch-buffer bus block at least that wide)
-    replays a run in one step: the first fetch decides, the rest are
-    hits.
+    {e straddle} event of its own at its traced pc.  A cache whose
+    sub-block is at least that wide replays a run in one step: the first
+    fetch decides, the rest are hits.  Fetch buffers step the raw pcs
+    ({!Repro_uarch.Pipeline.Mem.event_bytes}).  A decoded trace chunk
+    gets both arrays; {!stream} packs only the granules its spec's caches
+    replay at.
 
     {!run} decodes through a cache (a small MRU over recently-replayed
     readers, lock-free per-chunk slots), so a second {!run} over the same
@@ -59,7 +60,8 @@ module Decoded : sig
     dinfos : int array;  (** The nonzero packed data records, in order. *)
     ev4 : int array;
         (** Fetch events at 4-byte granules; empty when some pc of the
-            chunk does not pack ({!Repro_sim.Memsys.fetch_events}). *)
+            chunk does not pack ({!Repro_sim.Memsys.fetch_events}), or
+            when no key of the streamed spec replays at 4 bytes. *)
     ev8 : int array;  (** Fetch events at 8-byte granules; likewise. *)
     insn_bytes : int;
   }
@@ -144,8 +146,9 @@ val stream :
     trace written or read.  The records are packed into chunks of
     [chunk_records] (default {!Trace.default_chunk_records}, as
     {!Trace.Writer.create}); each full chunk, and the last partial one
-    after [drive] returns, goes through the same cold step and in-order
-    absorb as {!run}.  [insn_bytes] is the instruction width a trace of
+    after [drive] returns, is packed into fetch events only at the
+    granules some key of [spec] replays at (none for a bus-only spec),
+    then goes through the same cold step and in-order absorb as {!run}.  [insn_bytes] is the instruction width a trace of
     the same records would carry in its header.  Returns [drive]'s value
     and the result, equal to {!run} over a trace of the same records.
 

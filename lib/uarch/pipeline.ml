@@ -175,17 +175,16 @@ module Mem = struct
     | Uconfig.Cached { icache; dcache; _ } -> Kcached { icache; dcache }
 
   (* The fetch-event granule a key replays from (see
-     {!Memsys.fetch_event_bits}): the largest of 8 and 4 bytes that fits in
-     one sub-block (cached) or one bus block (cacheless), so every run of
-     fetches inside one aligned granule lies in one sub-block or block and
-     its first fetch decides.  0: neither fits, replay the raw pcs. *)
-  let event_bytes key =
-    let unit =
-      match key with
-      | Knocache { bus_bytes } -> bus_bytes
-      | Kcached { icache; _ } -> icache.Memsys.sub_block_bytes
-    in
-    if unit >= 8 then 8 else if unit >= 4 then 4 else 0
+     {!Memsys.fetch_event_bits}): for a cache, the largest of 8 and 4 bytes
+     that fits in one sub-block, so every run of fetches inside one
+     aligned granule lies in one sub-block and its first fetch decides.
+     0 means the raw pcs: a sub-block under 4 bytes, or a fetch buffer,
+     which steps a pc for less than packing it costs. *)
+  let event_bytes = function
+    | Knocache _ -> 0
+    | Kcached { icache; _ } ->
+      let sub = icache.Memsys.sub_block_bytes in
+      if sub >= 8 then 8 else if sub >= 4 then 4 else 0
 
   type auto =
     | Anocache of {
@@ -213,16 +212,15 @@ module Mem = struct
           insn_bytes }
 
   (* One chunk into a fresh automaton: the instruction stream as fetch
-     events under [count_bits] (the raw pcs when 0), then the nonzero data
-     records.  Cacheless data traffic is state-free: a per-size table of
-     bus transactions. *)
+     events under [count_bits] (the raw pcs when 0, always for a fetch
+     buffer), then the nonzero data records.  Cacheless data traffic is
+     state-free: a per-size table of bus transactions. *)
   let step a events ~count_bits ~dinfos =
     match a with
     | Anocache m ->
       if Array.length events > 0 then
-        m.first_block <-
-          ((events.(0) lsr count_bits) land lnot 1) / m.bus_bytes;
-      Fetchbuf.fetch_events m.buf events ~count_bits;
+        m.first_block <- (events.(0) land lnot 1) / m.bus_bytes;
+      Fetchbuf.fetch_events m.buf events;
       let requests =
         Array.init 16 (fun bytes ->
             Memsys.data_requests ~bus_bytes:m.bus_bytes ~bytes)

@@ -56,11 +56,12 @@ module Mem : sig
   val key : Uconfig.t -> key
 
   val event_bytes : key -> int
-  (** The fetch-event granule the key replays from: 8 or 4 when that many
-      bytes fit in one cache sub-block (cached) or one bus block
-      (cacheless), else 0 for the raw traced pcs.  A run of fetches inside
-      one aligned granule then lies in one sub-block or block, so its
-      first fetch decides and the rest only count. *)
+  (** The fetch-event granule the key replays from: for a cached key, 8
+      or 4 when that many bytes fit in one cache sub-block, so a run of
+      fetches inside one aligned granule lies in one sub-block, its first
+      fetch decides and the rest only count.  0, the raw traced pcs, for
+      a smaller sub-block and for every cacheless key: a fetch buffer
+      steps a pc for less than packing it costs. *)
 
   type auto
   (** One chunk's cold memory automaton. *)
@@ -71,7 +72,8 @@ module Mem : sig
   (** Replay one chunk into a fresh automaton: its instruction stream as
       fetch events under [count_bits] ({!Repro_sim.Memsys.fetch_event_bits}
       for events built at {!event_bytes}, 0 for the raw traced pcs), then
-      its nonzero packed data records, in order. *)
+      its nonzero packed data records, in order.  A cacheless automaton
+      takes the raw pcs ([count_bits = 0]), as {!event_bytes} says. *)
 
   type summary
 

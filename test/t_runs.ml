@@ -388,6 +388,49 @@ let test_sweeps_stream () =
       Alcotest.(check bool) (what ^ " entry bytes = alone") true (a = b))
     swept alone
 
+(* A pair's cold families share one execution: whichever of stats and
+   fusion is asked for first on D16, the same run puts the other, so the
+   second request is an in-process hit that reads no disk. *)
+let test_one_execution_per_pair () =
+  let check name first second =
+    with_temp_cache (fun () ->
+        Runs.clear_memo ();
+        ignore (first "queens" Target.d16);
+        let hits = Diskcache.hit_count () and misses = Diskcache.miss_count () in
+        ignore (second "queens" Target.d16);
+        Alcotest.(check int) (name ^ ": no disk hit") hits (Diskcache.hit_count ());
+        Alcotest.(check int)
+          (name ^ ": no disk miss") misses (Diskcache.miss_count ()))
+  in
+  check "fusion, then stats" Runs.fusion (fun b t -> ignore (Runs.stats b t));
+  check "stats, then fusion" Runs.stats (fun b t -> ignore (Runs.fusion b t))
+
+(* The render paths probe thousands of times: on a warm pair a probe
+   builds no memo key, closure or option. *)
+let test_warm_probes_allocate () =
+  with_temp_cache (fun () ->
+      Runs.clear_memo ();
+      let b = "queens" and t = Target.d16 in
+      let cfg = Repro_uarch.Uconfig.nocache ~bus_bytes:8 ~wait_states:2 in
+      Runs.ensure_sweeps ~grid:true ~uarch:true b t;
+      let n = 100_000 in
+      let words name probe =
+        probe ();
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          probe ()
+        done;
+        let per = (Gc.minor_words () -. w0) /. float_of_int n in
+        if per >= 8. then
+          Alcotest.failf "%s allocates %.1f words per probe" name per
+      in
+      words "Runs.stats" (fun () -> ignore (Sys.opaque_identity (Runs.stats b t)));
+      words "Runs.cached" (fun () ->
+          ignore
+            (Sys.opaque_identity (Runs.cached b t ~size:4096 ~block:32 ~sub:4)));
+      words "Runs.uarch" (fun () ->
+          ignore (Sys.opaque_identity (Runs.uarch b t cfg))))
+
 (* Only the standard sweeps are measured; anything else is rejected by
    name before any compile or replay. *)
 let test_off_standard_rejected () =
@@ -496,6 +539,10 @@ let tests =
       test_fusion_streams;
     Alcotest.test_case "sweeps stream, capture nothing" `Slow
       test_sweeps_stream;
+    Alcotest.test_case "one execution per cold pair" `Slow
+      test_one_execution_per_pair;
+    Alcotest.test_case "warm probes allocate nothing" `Slow
+      test_warm_probes_allocate;
     Alcotest.test_case "off-standard request rejected" `Quick
       test_off_standard_rejected;
     Alcotest.test_case "key invalidation" `Quick test_key_invalidation;
