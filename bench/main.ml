@@ -78,7 +78,10 @@ let substrate_tests =
 
 (* The trace substrate: what a capture costs on top of simulation, what a
    replay costs instead of re-execution, and a cold four-configuration
-   cache sweep replayed from one stored trace (reopened per run). *)
+   cache sweep replayed from one stored trace (reopened per run).  The
+   single-replay keys step a decode held from before timing
+   ([Replay.decode]): they time the engine, not the varint decode; the
+   reopen-per-run keys decode inside the timed region. *)
 let trace_tests =
   let img = Compile.compile Target.d16 queens in
   (* Prefer tmpfs for the capture substrate: it tracks the hot-path
@@ -113,14 +116,14 @@ let trace_tests =
       (fun size -> Memsys.cache_config ~size ~block:32 ~sub:4)
       [ 1024; 2048; 4096; 8192 ]
   in
-  let replay_caches rd cfgs =
-    Replay.run rd
-      {
-        Replay.empty with
-        caches =
-          List.map (fun cfg -> { Replay.icache = cfg; dcache = cfg }) cfgs;
-      }
+  let decoded = Replay.decode rd in
+  let caches cfgs =
+    {
+      Replay.empty with
+      caches = List.map (fun cfg -> { Replay.icache = cfg; dcache = cfg }) cfgs;
+    }
   in
+  let replay_caches rd cfgs = Replay.run rd (caches cfgs) in
   (* 16 distinct geometries; grid-replay:Ncfg takes a prefix, so the three
      substrates share their fixed cost (open + checksum + one decode) and
      differ only in automata count — the sublinearity the engine claims. *)
@@ -180,16 +183,17 @@ let trace_tests =
     Test.make ~name:"trace-cache-replay:4K:queens"
       (Staged.stage (fun () ->
            let cfg = Memsys.cache_config ~size:4096 ~block:32 ~sub:4 in
-           ignore (replay_caches rd [ cfg ])));
+           ignore (Replay.run_decoded decoded (caches [ cfg ]))));
     Test.make ~name:"trace-fetch-seq:queens"
       (Staged.stage (fun () ->
-           ignore (Replay.run rd { Replay.empty with buses = [ 4 ] })));
+           ignore
+             (Replay.run_decoded decoded { Replay.empty with buses = [ 4 ] })));
     Test.make ~name:"trace-fetch-par:queens"
       (Staged.stage (fun () ->
            ignore
-             (Replay.run
+             (Replay.run_decoded
                 ~map:(fun f xs -> Pool.map ~pool:(Lazy.force pool) f xs)
-                rd
+                decoded
                 { Replay.empty with buses = [ 4 ] })));
     Test.make ~name:"sweep-replay:4cfg:queens"
       (Staged.stage (fun () ->
@@ -338,21 +342,21 @@ let isavar_tests =
       (fun size -> Memsys.cache_config ~size ~block:32 ~sub:4)
       [ 1024; 2048; 4096; 8192 ]
   in
-  let grid rd () =
-    ignore
-      (Replay.run rd
-         {
-           Replay.empty with
-           caches =
-             List.map
-               (fun cfg -> { Replay.icache = cfg; dcache = cfg })
-               mixed_grid_cfgs;
-         })
+  (* Each key steps a decode held from before timing, so neither carries
+     its trace's decode. *)
+  let grid rd =
+    let decoded = Replay.decode rd in
+    fun () ->
+      ignore
+        (Replay.run_decoded decoded
+           {
+             Replay.empty with
+             caches =
+               List.map
+                 (fun cfg -> { Replay.icache = cfg; dcache = cfg })
+                 mixed_grid_cfgs;
+           })
   in
-  (* Decode both traces before timing, so neither key carries its
-     trace's first decode. *)
-  grid d16m_rd ();
-  grid d16_rd ();
   [
     Test.make ~name:"fusion:queens"
       (Staged.stage (fun () ->

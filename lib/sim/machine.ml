@@ -392,10 +392,9 @@ let run_ref ?on_insn ?(max_steps = 400_000_000) (img : Link.image) =
    pool address, branch-and-link return addresses (mixed-width sizes
    included), and the trace address with the wide mark already applied.
 
-   The table is a pure function of the immutable image, memoized per
-   image behind a short MRU exactly like {!Repro_uarch.Predecode.table},
-   so the harness's per-(benchmark, target) images predecode once across
-   every capture, sweep, and domain. *)
+   The table is a pure function of the immutable image, built afresh by
+   every [run]: under 0.2 ms for the largest suite image, against
+   milliseconds to seconds of execution. *)
 
 type dispatch = {
   ops : int array;  (* code | a lsl 7 | b lsl 12 | c lsl 17 *)
@@ -539,21 +538,6 @@ let build_dispatch (img : Link.image) =
   in
   { ops; imms; d_tr_addr; d_ret_addr }
 
-let dispatch_lock = Mutex.create ()
-let dispatch_limit = 8
-let dispatch_cache : (Link.image * dispatch) list ref = ref []
-
-let dispatch (img : Link.image) =
-  Mutex.protect dispatch_lock (fun () ->
-      match List.find_opt (fun (i, _) -> i == img) !dispatch_cache with
-      | Some (_, d) -> d
-      | None ->
-        let d = build_dispatch img in
-        dispatch_cache :=
-          (img, d)
-          :: List.filteri (fun i _ -> i < dispatch_limit - 1) !dispatch_cache;
-        d)
-
 let run ?trace:_ ?on_insn ?(max_steps = 400_000_000) (img : Link.image) =
   let t = img.Link.target in
   let zero_r0 = t.Target.zero_r0 in
@@ -564,7 +548,7 @@ let run ?trace:_ ?on_insn ?(max_steps = 400_000_000) (img : Link.image) =
   List.iter
     (fun (addr, b) -> Bytes.blit b 0 mem addr (Bytes.length b))
     img.Link.init;
-  let d = dispatch img in
+  let d = build_dispatch img in
   let ops = d.ops in
   let imms = d.imms in
   let tr_addr = d.d_tr_addr in

@@ -51,8 +51,8 @@ val run :
     division issues, or step overrun.
 
     Internally [run] executes via a threaded-dispatch loop over a dense
-    per-image operand table (memoized per image); {!run_ref} is the
-    plain structural interpreter it must agree with. *)
+    per-image operand table, built at the start of each run; {!run_ref}
+    is the plain structural interpreter it must agree with. *)
 
 val run_ref :
   ?on_insn:(iaddr:int -> dinfo:int -> unit) ->

@@ -7,19 +7,13 @@ module Link = Repro_link.Link
 module Target = Repro_core.Target
 module Mem = Pipeline.Mem
 
-(* Shared chunk decode. ------------------------------------------------------
+(* Chunk decode. --------------------------------------------------------------
 
    One decode per chunk feeds every automaton (caches, fetch buffers,
-   scoreboard).  Decoded chunks are cached: the varint stream is
-   LEB128+zigzag and costs more to walk than the automata cost to step,
-   so a second replay of the same reader must not pay the decode again.
-   Harness and serve sweeps stream from the execution ({!stream}) and
-   never come here; the bench's repeated replays are the repeat caller.
-   The cache is a small MRU of recently-replayed readers (keyed by
-   physical reader identity) with one atomic slot per chunk: the slot is
-   filled outside any lock (decoding is deterministic, so a racing
-   double-decode is just redundant work, never wrong), and readers
-   evicted from the MRU drop all their arrays at once. *)
+   scoreboard).  {!run} decodes chunk i inside its chunk step and keeps
+   nothing: the varint stream is LEB128+zigzag and costs more to walk
+   than the automata cost to step, so a caller that replays one reader
+   again and again holds a {!decode} of it instead. *)
 
 module Decoded = struct
   type t = {
@@ -30,8 +24,18 @@ module Decoded = struct
     insn_bytes : int;
   }
 
-  let of_chunk rd i =
-    let insn_bytes = Trace.Reader.insn_bytes rd in
+  (* [pack ~granule pcs] gives a chunk's fetch events at a granule
+     ([[||]] for none). *)
+  let make ~pack ~insn_bytes pcs dinfos =
+    {
+      pcs;
+      dinfos;
+      ev4 = pack ~granule:4 pcs;
+      ev8 = pack ~granule:8 pcs;
+      insn_bytes;
+    }
+
+  let decode ~pack rd i =
     let info = Trace.Reader.chunk rd i in
     let n = info.Trace.Reader.n_records in
     let pcs = Array.make (max n 1) 0 in
@@ -45,14 +49,12 @@ module Decoded = struct
           dinfos.(!nd) <- dinfo;
           incr nd
         end);
-    let pcs = Array.sub pcs 0 !np in
-    {
-      pcs;
-      dinfos = Array.sub dinfos 0 !nd;
-      ev4 = Memsys.fetch_events ~insn_bytes ~granule:4 pcs;
-      ev8 = Memsys.fetch_events ~insn_bytes ~granule:8 pcs;
-      insn_bytes;
-    }
+    make ~pack ~insn_bytes:(Trace.Reader.insn_bytes rd)
+      (Array.sub pcs 0 !np) (Array.sub dinfos 0 !nd)
+
+  let of_chunk rd i =
+    let insn_bytes = Trace.Reader.insn_bytes rd in
+    decode rd i ~pack:(Memsys.fetch_events ~insn_bytes)
 
   (* The i-stream to replay at a fetch-event granule, with its count
      bits: the packed events at 4 or 8 bytes, else (or when the chunk's
@@ -63,39 +65,6 @@ module Decoded = struct
     in
     if Array.length packed > 0 then (packed, Memsys.fetch_event_bits)
     else (d.pcs, 0)
-
-  let cache_readers = 4
-  let cache_lock = Mutex.create ()
-
-  let cache : (Trace.Reader.t * t option Atomic.t array) list ref = ref []
-
-  let slots rd =
-    Mutex.protect cache_lock (fun () ->
-        match List.assq_opt rd !cache with
-        | Some slots ->
-          (match !cache with
-          | (r, _) :: _ when r == rd -> ()  (* already most recent *)
-          | _ ->
-            cache :=
-              (rd, slots) :: List.filter (fun (r, _) -> r != rd) !cache);
-          slots
-        | None ->
-          let slots =
-            Array.init (Trace.Reader.n_chunks rd) (fun _ -> Atomic.make None)
-          in
-          cache :=
-            (rd, slots)
-            :: List.filteri (fun j _ -> j < cache_readers - 1) !cache;
-          slots)
-
-  let get rd i =
-    let slot = (slots rd).(i) in
-    match Atomic.get slot with
-    | Some d -> d
-    | None ->
-      let d = of_chunk rd i in
-      Atomic.set slot (Some d);
-      d
 end
 
 (* The engine. ----------------------------------------------------------------
@@ -278,14 +247,15 @@ let engine ?img ~insn_bytes caller spec =
   in
   { step = chunk ~score ~insn_bytes keys; absorb; finish; pack }
 
-let run ?map ?img rd spec =
+(* The stored-trace chunk loop: chunk i comes from [chunk_of e i] inside
+   the cold step, so under [?map] a decode runs on the domain that steps
+   the chunk and dies with the step. *)
+let replay ?map ?img ~insn_bytes ~n_chunks ~ic caller spec chunk_of =
   if is_empty spec then no_result
   else begin
-    let e =
-      engine ?img ~insn_bytes:(Trace.Reader.insn_bytes rd) "Replay.run" spec
-    in
-    let step i = e.step (Decoded.get rd i) in
-    let ids = List.init (Trace.Reader.n_chunks rd) Fun.id in
+    let e = engine ?img ~insn_bytes caller spec in
+    let step i = e.step (chunk_of e i) in
+    let ids = List.init n_chunks Fun.id in
     (match map with
     | Some m -> List.iter e.absorb (m step ids)
     | None ->
@@ -296,8 +266,26 @@ let run ?map ?img rd spec =
          geometries) the retained list's live set scaled as chunks x
          keys and dominated the run in GC work. *)
       List.iter (fun i -> e.absorb (step i)) ids);
-    e.finish ~ic:(Trace.Reader.n_records rd)
+    e.finish ~ic
   end
+
+let run ?map ?img rd spec =
+  replay ?map ?img ~insn_bytes:(Trace.Reader.insn_bytes rd)
+    ~n_chunks:(Trace.Reader.n_chunks rd) ~ic:(Trace.Reader.n_records rd)
+    "Replay.run" spec (fun e i -> Decoded.decode ~pack:e.pack rd i)
+
+type decoded = { chunks : Decoded.t array; insn_bytes : int; n_records : int }
+
+let decode rd =
+  {
+    chunks = Array.init (Trace.Reader.n_chunks rd) (Decoded.of_chunk rd);
+    insn_bytes = Trace.Reader.insn_bytes rd;
+    n_records = Trace.Reader.n_records rd;
+  }
+
+let run_decoded ?map ?img d spec =
+  replay ?map ?img ~insn_bytes:d.insn_bytes ~n_chunks:(Array.length d.chunks)
+    ~ic:d.n_records "Replay.run_decoded" spec (fun _ i -> d.chunks.(i))
 
 (* The execution as the chunk source.  The hook fills one chunk's pcs and
    data records in place; a full chunk is packed into fetch events at the
@@ -318,13 +306,7 @@ let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
     let flush () =
       let pcs = if !np = chunk_records then pcs else Array.sub pcs 0 !np in
       let d =
-        {
-          Decoded.pcs;
-          dinfos = Array.sub dinfos 0 !nd;
-          ev4 = e.pack ~granule:4 pcs;
-          ev8 = e.pack ~granule:8 pcs;
-          insn_bytes;
-        }
+        Decoded.make ~pack:e.pack ~insn_bytes pcs (Array.sub dinfos 0 !nd)
       in
       let r =
         match map with

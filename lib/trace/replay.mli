@@ -17,7 +17,8 @@
     The engine works chunk by chunk:
 
     + {b fill} each chunk once into flat arrays ({!Decoded}) — decoded
-      from the stored varint stream, or written in place by the
+      from the stored varint stream inside the chunk's cold step, taken
+      from a caller-held {!decode}, or written in place by the
       execution's hook — shared by every automaton fed from that chunk;
     + {b cold-simulate} each chunk independently: the scoreboard (when
       pipelines are asked for) and one {!Repro_uarch.Pipeline.Mem}
@@ -32,7 +33,9 @@
 
     The cold step is independent per chunk, so [?map] may fan a stored
     trace's chunks out across domains; absorption reconstructs exactly
-    the sequential outcome. *)
+    the sequential outcome.  Nothing outlives a call: a chunk's arrays
+    die with its step, and a caller that replays one trace repeatedly
+    holds its {!decode} itself. *)
 
 (** One trace chunk decoded into flat arrays, shared by every automaton.
 
@@ -45,15 +48,10 @@
     {e straddle} event of its own at its traced pc.  A cache whose
     sub-block is at least that wide replays a run in one step: the first
     fetch decides, the rest are hits.  Fetch buffers step the raw pcs
-    ({!Repro_uarch.Pipeline.Mem.event_bytes}).  A decoded trace chunk
-    gets both arrays; {!stream} packs only the granules its spec's caches
-    replay at.
-
-    {!run} decodes through a cache (a small MRU over recently-replayed
-    readers, lock-free per-chunk slots), so a second {!run} over the same
-    reader decodes the varint stream once, not once per pass.  Sweeps in
-    the harness and in serve stream from the execution instead, so the
-    bench's repeated replays are the only repeat caller left. *)
+    ({!Repro_uarch.Pipeline.Mem.event_bytes}).  From either source, a
+    stored trace ({!run}) or the execution ({!stream}), [ev4]/[ev8] are
+    empty when no key of the spec replays at that granule;
+    {!of_chunk} and {!decode} pack both, for any spec. *)
 module Decoded : sig
   type t = {
     pcs : int array;  (** Every record's fetch address, in order. *)
@@ -61,13 +59,13 @@ module Decoded : sig
     ev4 : int array;
         (** Fetch events at 4-byte granules; empty when some pc of the
             chunk does not pack ({!Repro_sim.Memsys.fetch_events}), or
-            when no key of the streamed spec replays at 4 bytes. *)
+            when no key of the spec replays at 4 bytes. *)
     ev8 : int array;  (** Fetch events at 8-byte granules; likewise. *)
     insn_bytes : int;
   }
 
   val of_chunk : Trace.Reader.t -> int -> t
-  (** Decode chunk [i], bypassing the cache. *)
+  (** Decode chunk [i], with fetch events at both granules. *)
 end
 
 (** {1 The replay engine} *)
@@ -113,12 +111,16 @@ val run :
   spec ->
   result
 (** Replay the trace against every axis of [spec] from one decode per
-    chunk.  Memory automatons are deduplicated by behaviour class across
-    the axes — a pipeline configuration whose memory behaviour also
-    appears as a bus or a cache pair shares one automaton — and the
-    scoreboard (needed only when [spec.pipelines] is nonempty) runs once
-    for every pipeline configuration, since interlocks depend only on the
-    instruction stream.
+    chunk.  Chunk [i] is decoded inside its cold step — under [?map], on
+    the domain that steps it — packed only at the granules the spec's
+    caches replay at, and dropped after the step: nothing is retained
+    after the call, so a second {!run} over the same reader decodes
+    again (see {!decode}).  Memory automatons are deduplicated by
+    behaviour class across the axes — a pipeline configuration whose
+    memory behaviour also appears as a bus or a cache pair shares one
+    automaton — and the scoreboard (needed only when [spec.pipelines] is
+    nonempty) runs once for every pipeline configuration, since
+    interlocks depend only on the instruction stream.
 
     Each sub-result is byte-equal to the sequential oracle:
     {!Seq.nocache} per bus, {!Seq.cached} per pair (instruction fetch
@@ -131,6 +133,21 @@ val run :
     @raise Invalid_argument if [spec.pipelines] is nonempty and no
       [?img] was given (the pipeline model needs the image's instruction
       descriptors). *)
+
+type decoded
+(** Every chunk of one trace, decoded ({!Decoded.of_chunk}): held by a
+    caller that replays the same trace more than once. *)
+
+val decode : Trace.Reader.t -> decoded
+(** Decode every chunk of the trace, both granules packed.  The value
+    holds the whole trace as flat arrays (several words per record), for
+    as long as the caller keeps it. *)
+
+val run_decoded :
+  ?map:map -> ?img:Repro_link.Link.image -> decoded -> spec -> result
+(** {!run} over a held decode: the same chunk loop and engine, so the
+    result equals [run rd spec] for the reader [rd] it was decoded from.
+    Raises as {!run}. *)
 
 val stream :
   ?map:map ->
@@ -163,7 +180,7 @@ val stream :
       [spec.pipelines] is nonempty and no [?img] was given. *)
 
 (** Reference implementations: plain sequential per-record loops.  They
-    share nothing with the chunk engine — no decode cache, no automata,
+    share nothing with the chunk engine — no chunk decode, no automata,
     no reconciliation — so the differential suite uses them as
     independent baselines. *)
 module Seq : sig

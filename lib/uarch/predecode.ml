@@ -72,24 +72,5 @@ let of_insn (i : Insn.t) =
     else { reads = []; write = None }
   | Insn.Nop -> { reads = []; write = None }
 
-(* The table is a pure function of the (immutable) image, so it is built
-   once per image and shared by every pipeline, chunk automaton, and
-   domain that replays the same program.  Keyed on physical identity —
-   the harness memoizes images per (benchmark, target), so sweeps of any
-   width hit the same entry; structurally-equal but distinct images get
-   their own tables, which only costs memory.  A short MRU list bounds
-   retention when many throwaway images go by (tests, fuzzing). *)
-let table_lock = Mutex.create ()
-let table_limit = 8
-
-let table_cache : (Repro_link.Link.image * desc array) list ref = ref []
-
 let table (img : Repro_link.Link.image) =
-  Mutex.protect table_lock (fun () ->
-      match List.find_opt (fun (i, _) -> i == img) !table_cache with
-      | Some (_, t) -> t
-      | None ->
-        let t = Array.map of_insn img.Repro_link.Link.insns in
-        table_cache :=
-          (img, t) :: List.filteri (fun i _ -> i < table_limit - 1) !table_cache;
-        t)
+  Array.map of_insn img.Repro_link.Link.insns

@@ -5,7 +5,7 @@
     architectural simulator reads them), which register is written, with
     what result latency, and whether a stall on that result is a delayed
     load or an FP-unit interlock.  Those facts are static, so they are
-    precomputed once per image.
+    precomputed into one table per image before stepping.
 
     The read order and the latencies mirror {!Repro_sim.Machine} exactly —
     including its quirks (DLXe [r0] writes still update the result
@@ -36,7 +36,6 @@ val table : Repro_link.Link.image -> desc array
     {!Repro_link.Link.index_at} — a constant-time array lookup on the
     pipeline's per-record path.
 
-    Memoized per image (physical identity, domain-safe): the table is
-    immutable and a pure function of the program, so every configuration,
-    chunk automaton, and domain replaying the same image shares one
-    array.  Do not mutate the result. *)
+    Built afresh on every call, one pass over the image's instructions:
+    a caller that steps many records holds the result.  Equal images
+    give equal tables. *)

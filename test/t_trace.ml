@@ -287,6 +287,14 @@ let test_fetch_events () =
               Alcotest.(check bool) (label "chunk-parallel") true
                 (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) rd spec
                 = expect);
+              let decoded = Replay.decode rd in
+              Alcotest.(check bool) (label "held decode") true
+                (Replay.run_decoded decoded spec = expect);
+              Alcotest.(check bool) (label "held decode, chunk-parallel") true
+                (Replay.run_decoded
+                   ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
+                   decoded spec
+                = expect);
               Alcotest.(check bool) (label "streamed") true
                 (snd
                    (Replay.stream ~chunk_records ~insn_bytes spec
@@ -372,9 +380,10 @@ let synthetic_upipelines =
 
 (* The execution as the chunk source: a synthetic stream fed through
    {!Replay.stream} at 1-, 7- and 512-record chunks equals {!Replay.run}
-   over the same stream captured at that chunk size, and {!Replay.Seq},
-   sequential and with [~map] — so the last partial chunk is flushed and
-   the record count is exact whatever the stream's length. *)
+   and {!Replay.run_decoded} over the same stream captured at that chunk
+   size, and {!Replay.Seq}, sequential and with [~map] — so the last
+   partial chunk is flushed and the record count is exact whatever the
+   stream's length. *)
 let synthetic_stream =
   QCheck.Test.make
     ~name:"streamed replay equals stored replay on synthetic streams"
@@ -395,6 +404,7 @@ let synthetic_stream =
                     Capture.of_records ~chunk_records ~insn_bytes records
                   in
                   let expect = seq_all_axes rd img in
+                  let decoded = Replay.decode rd in
                   List.for_all
                     (fun map ->
                       let (), live =
@@ -402,7 +412,9 @@ let synthetic_stream =
                           synth_all_axes (feed records)
                       in
                       live = expect
-                      && live = Replay.run ?map ~img rd synth_all_axes)
+                      && live = Replay.run ?map ~img rd synth_all_axes
+                      && live
+                         = Replay.run_decoded ?map ~img decoded synth_all_axes)
                     [ None; Some (fun f xs -> Pool.map ~pool f xs) ])
                 [ 1; 7; 512 ])
             (Lazy.force synth_images)))
@@ -883,6 +895,33 @@ let test_two_processes_capture () =
         Alcotest.(check (result unit string)) "verifies" (Ok ())
           (Reader.verify rd))
 
+(* A stored-trace replay keeps nothing once it returns: each chunk is
+   decoded inside its step and dropped with it.  The queens/D16 trace
+   decodes to more than two words per record, so any chunk kept past the
+   call shows far above the bound. *)
+let test_replay_retains_nothing () =
+  let img = Compile.compile Target.d16 (Suite.find "queens").Suite.source in
+  let _, rd = Capture.capture img in
+  let cfg = Memsys.cache_config ~size:4096 ~block:32 ~sub:4 in
+  let spec =
+    {
+      Replay.empty with
+      buses = [ 4 ];
+      caches = [ { Replay.icache = cfg; dcache = cfg } ];
+    }
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  ignore (Replay.run rd spec);
+  let rise = live_words () - before in
+  let bound = Reader.n_records rd / 8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words rose by %d (bound %d)" rise bound)
+    true (rise < bound)
+
 let differential_case bench =
   Alcotest.test_case ("differential " ^ bench) `Slow (fun () ->
       List.iter (differential bench) [ Target.d16; Target.dlxe ])
@@ -912,6 +951,8 @@ let tests =
     QCheck_alcotest.to_alcotest synthetic_upipelines;
     QCheck_alcotest.to_alcotest synthetic_stream;
     Alcotest.test_case "compiled programs roundtrip" `Slow progfuzz_roundtrip;
+    Alcotest.test_case "a stored replay retains nothing" `Quick
+      test_replay_retains_nothing;
     Alcotest.test_case "empty trace" `Quick test_empty_trace;
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
     Alcotest.test_case "corruption detected (v2)" `Quick test_corruption;
