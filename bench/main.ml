@@ -20,7 +20,6 @@ module Memsys = Repro_sim.Memsys
 module Suite = Repro_workloads.Suite
 module Uarch = Repro_uarch.Uarch
 module Uconfig = Repro_uarch.Uconfig
-module Pool = Repro_harness.Pool
 module Trace = Repro_trace.Trace
 module Replay = Repro_trace.Replay
 
@@ -145,24 +144,6 @@ let trace_tests =
     | Ok rd ->
       ignore (replay_caches rd (take n grid_cfgs))
   in
-  (* One long-lived pool so the parallel test times replay, not
-     Domain.spawn — created lazily at the test's first run, because even
-     idle worker domains tax every other measurement through
-     stop-the-world collector synchronization (on a single-CPU box the
-     experiment renders measure ~1.7x slower with four idle domains
-     alive).  Sized like the harness sizes its own pools
-     (REPRO_JOBS / recommended_domain_count) so the measurement reflects
-     what `Pool.run_plan` would actually do on this machine rather than
-     a fixed worker count that oversubscribes small boxes — but capped at
-     the core count even when REPRO_JOBS asks for more: extra domains on
-     a saturated box only add stop-the-world synchronization, which is
-     exactly the par-slower-than-seq regression CI's par/seq check
-     exists to catch. *)
-  let pool =
-    lazy
-      (Pool.create
-         ~jobs:(min (Pool.default_jobs ()) (Domain.recommended_domain_count ())))
-  in
   [
     (* Each iteration captures to a fresh file, like a cold store fill.
        Without the remove, every iteration renames over the previous
@@ -188,13 +169,12 @@ let trace_tests =
       (Staged.stage (fun () ->
            ignore
              (Replay.run_decoded decoded { Replay.empty with buses = [ 4 ] })));
+    (* The replay engine is sequential, so this times the same path as
+       trace-fetch-seq; the name stays for the tracked series. *)
     Test.make ~name:"trace-fetch-par:queens"
       (Staged.stage (fun () ->
            ignore
-             (Replay.run_decoded
-                ~map:(fun f xs -> Pool.map ~pool:(Lazy.force pool) f xs)
-                decoded
-                { Replay.empty with buses = [ 4 ] })));
+             (Replay.run_decoded decoded { Replay.empty with buses = [ 4 ] })));
     Test.make ~name:"sweep-replay:4cfg:queens"
       (Staged.stage (fun () ->
            match Trace.Reader.open_file path with
@@ -374,7 +354,7 @@ let isavar_tests =
    request, and what its coalescing/batching save.  One lazy in-process
    server on a private socket and a private cache dir (created at the
    first serve test, so its idle worker domains cannot tax the earlier
-   measurements — same reasoning as the lazy pool above).  Every
+   measurements through stop-the-world collector synchronization).  Every
    iteration starts COLD (memo and disk cache cleared): the point of
    comparison is N independent cold clients (serve:direct:8x1, each
    request pays the full computation, the pre-server workflow) against
@@ -397,9 +377,11 @@ let serve_tests =
   let env =
     lazy
       (let tmp = Filename.get_temp_dir_name () in
-       Diskcache.set_dir
-         (Filename.concat tmp
-            (Printf.sprintf "repro-bench-serve-%d" (Unix.getpid ())));
+       let dir =
+         Filename.concat tmp
+           (Printf.sprintf "repro-bench-serve-%d" (Unix.getpid ()))
+       in
+       Diskcache.set_dir dir;
        let sock =
          Filename.concat tmp
            (Printf.sprintf "repro-bench-serve-%d.sock" (Unix.getpid ()))
@@ -420,7 +402,10 @@ let serve_tests =
          at_exit (fun () ->
              Server.stop h;
              Server.wait h;
-             try Diskcache.clear () with Sys_error _ -> ());
+             try
+               Diskcache.clear ();
+               Sys.rmdir dir
+             with Sys_error _ -> ());
          Client.Unix_sock sock)
   in
   let cold () =
@@ -543,11 +528,10 @@ let () =
   Printf.printf "\n================ bench timings ================\n%!";
   (* serve_tests stay LAST: their first run redirects the disk cache to
      a private directory and wakes the server's worker domains, both of
-     which would perturb every measurement after them.  isavar_tests run
-     before trace_tests, whose trace-fetch-par starts the pool: with its
-     worker domains idle behind it, mixed:grid:queens measured anywhere
-     from 1.0x to 3.2x grid:d16:queens from run to run, against 1.3x to
-     1.5x with no worker domains (REPRO_JOBS=1). *)
+     which would perturb every measurement after them (with idle worker
+     domains behind it, mixed:grid:queens measured anywhere from 1.0x to
+     3.2x grid:d16:queens from run to run, against 1.3x to 1.5x with
+     none). *)
   let tests =
     if smoke then
       substrate_tests @ isavar_tests @ trace_tests @ uarch_tests @ serve_tests

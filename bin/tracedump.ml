@@ -6,19 +6,18 @@
    Usage:
      dune exec bin/tracedump.exe -- (--bench NAME [TARGET] | FILE.trc)
        [--summary] [--chunks] [--dump N] [--from PC] [--to PC]
-       [--loads] [--stores] [--working-set] [--traffic] [--grid] [--cpi]
-       [--jobs N]
+       [--loads] [--stores] [--working-set [--jobs N]] [--traffic] [--grid]
+       [--cpi]
 
    FILE.trc must be a current-format trace (Trace.format_version); any
    other file is refused with the reader's reason.
 
-   With no mode flags, prints the summary.  --working-set, --traffic,
-   --grid and --cpi replay chunk-parallel over --jobs domains
-   (--working-set merges order-free counters).  --traffic, --grid and
-   --cpi each add one axis — bus widths, the standard cache grid, the
-   standard pipeline sweep — to a single Replay.run, so any mix of them
-   shares one decode of the trace with exact per-chunk reconciliation.
-   --cpi needs --bench (the pipeline model reads the image's
+   With no mode flags, prints the summary.  --working-set scans chunks
+   in parallel over --jobs domains and merges order-free counters.
+   --traffic, --grid and --cpi each add one axis — bus widths, the
+   standard cache grid, the standard pipeline sweep — to a single
+   sequential Replay.run, so any mix of them shares one decode of the
+   trace.  --cpi needs --bench (the pipeline model reads the image's
    instruction descriptors).                                            *)
 
 module Target = Repro_core.Target
@@ -31,7 +30,7 @@ module Reader = Repro_trace.Trace.Reader
 let usage =
   "tracedump (--bench NAME [TARGET] | FILE.trc) [--summary] [--chunks]\n\
   \       [--dump N] [--from PC] [--to PC] [--loads] [--stores]\n\
-  \       [--working-set] [--traffic] [--grid] [--cpi] [--jobs N]"
+  \       [--working-set [--jobs N]] [--traffic] [--grid] [--cpi]"
 
 let int_arg cli name ~default =
   match Cli.flag_arg cli name with
@@ -165,16 +164,13 @@ let print_cpi cfgs results =
    its axis to one [Replay.run] — the cacheless machine's memory requests
    at each bus width, the standard cache grid's miss rates, the standard
    pipeline sweep's CPI and stall breakdown (which needs the image for
-   the instruction descriptors).  Chunks fan out across domains and
-   reconcile exactly at the merge. *)
-let replay ?img ~traffic ~grid ~cpi ~jobs rd =
+   the instruction descriptors). *)
+let replay ?img ~traffic ~grid ~cpi rd =
   let buses = if traffic then traffic_buses else [] in
   let geometries = if grid then Runs.standard_grid else [] in
   let cfgs = if cpi then Runs.standard_uarch_configs else [] in
   let r =
-    Replay.run
-      ~map:(fun f xs -> Pool.map ~jobs f xs)
-      ?img rd
+    Replay.run ?img rd
       {
         Replay.buses;
         caches =
@@ -250,4 +246,4 @@ let () =
       "tracedump: --cpi needs the program image; use --bench NAME [TARGET]";
     exit 1
   end;
-  if traffic || grid || cpi then replay ?img ~traffic ~grid ~cpi ~jobs rd
+  if traffic || grid || cpi then replay ?img ~traffic ~grid ~cpi rd

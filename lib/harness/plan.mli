@@ -77,9 +77,9 @@ val for_experiment : string -> t
 val execute : ?chunk_map:Repro_trace.Replay.map -> spec -> unit
 (** Run one spec to completion through {!Runs} (memo + disk cache).
     A [Grid], [Uarch] or [Fused] spec is one {!Runs.ensure_sweeps} call
-    with that kind's axes.  [?chunk_map] is forwarded to its chunk
-    engine, which hands it each chunk as a one-element batch while the
-    execution runs — a span hook that times every chunk. *)
+    with that kind's axes.  [?chunk_map] is a per-chunk hook forwarded
+    to the replay engine, which calls it once per chunk, in order, while
+    the execution runs — a span hook that times every chunk. *)
 
 val describe : spec -> string
 

@@ -108,11 +108,10 @@ val ensure_sweeps :
     on disk).  Each measurement has its own disk entry
     ({!grid_key}, {!uarch_sweep_key}, {!stats_key}, {!fusion_key}),
     byte-identical whichever call filled it.  The unit of work {!Pool}
-    schedules for cache and stall studies.  [?map] is the chunk engine's
-    scheduler hook; it sees each chunk as a one-element batch while the
-    execution runs, so a span hook times every chunk (the default steps
-    chunks in line).  This module cannot depend on {!Pool} — injection
-    keeps the dependency one-way. *)
+    schedules for cache and stall studies.  [?map] is a per-chunk hook
+    ({!Repro_trace.Replay.map}): the replay engine calls it once per
+    chunk, in order, with that chunk's step while the execution runs, so
+    a span hook times every chunk (the default steps chunks in line). *)
 
 val fusion : string -> Repro_core.Target.t -> Repro_isavar.Fusion.counters
 (** Macro-op fusion counters ({!Repro_isavar.Fusion.default_rules}) for

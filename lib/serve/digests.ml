@@ -16,8 +16,8 @@ let grid_values bench target =
 let uarch_values bench target =
   List.map (Runs.uarch bench target) Runs.standard_uarch_configs
 
-let of_spec ?map (s : Plan.spec) =
-  Plan.execute ?chunk_map:map s;
+let of_spec (s : Plan.spec) =
+  Plan.execute s;
   let bench = s.Plan.bench and target = s.Plan.target in
   match s.Plan.kind with
   | Plan.Stats -> digest (Runs.stats bench target)

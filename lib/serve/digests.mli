@@ -11,10 +11,7 @@
     batched or coalesced request returned exactly what a directly-run
     plan would have. *)
 
-val of_spec :
-  ?map:Repro_trace.Replay.map -> Repro_harness.Plan.spec -> string
-(** [?map] is forwarded to the replay engines, like
-    {!Repro_harness.Plan.execute}'s. *)
+val of_spec : Repro_harness.Plan.spec -> string
 
 val key_of_spec : Repro_harness.Plan.spec -> string
 (** The spec's single-flight identity: the same {!Repro_harness.Runs}

@@ -23,7 +23,7 @@ let miss_rate s =
 type nocache = { irequests : int; drequests : int }
 
 (* The cacheless machine's one-block instruction buffer (paper Section
-   4.2), shared by the chunk engine, its sequential oracle and the
+   4.2), shared by the replay engine, its sequential oracle and the
    cycle-accurate pipeline. *)
 module Fetchbuf = struct
   type t = { shift : int; mutable block : int; mutable requests : int }
@@ -70,7 +70,6 @@ module Fetchbuf = struct
     b.requests <- !requests
 
   let requests b = b.requests
-  let last_block b = b.block
 end
 
 let data_requests ~bus_bytes ~bytes = (bytes + bus_bytes - 1) / bus_bytes
@@ -81,7 +80,7 @@ let nocache_cycles ~wait_states (r : Machine.result) nc =
 
 (* Instruction-fetch events. -------------------------------------------------
 
-   A chunk's instruction stream reaches the chunk engines as an int array
+   A chunk's instruction stream reaches the replay engine as an int array
    of events.  Under [count_bits = k], word [w] is the traced pc [w lsr k]
    (bit 0 the wide mark) followed by [w land (2^k - 1)] repeat fetches in
    the same aligned granule; with [k = 0] the raw traced pcs are an event
@@ -178,8 +177,7 @@ module Cache = struct
       words = 0;
     }
 
-  (* Flat bitset helpers (also used for the chunk engine's per-set and
-     per-sub side bitsets). *)
+  (* Flat bitset helpers. *)
   let[@inline] bit_is_set v i =
     Char.code (Bytes.unsafe_get v (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -271,200 +269,57 @@ module Cache = struct
   let stats c =
     { accesses = c.accesses; misses = c.misses; words_transferred = c.words }
 
-  (* Chunk-parallel engine. -------------------------------------------------
-
-     A chunk automaton simulates its slice of the access stream cold (tags
-     -1, all valid bits clear) and logs just enough for a later sequential
-     merge to reconstruct the exact warm-start counters:
-
-     - [known] (per set): a genuine replacement happened — the set's first
-       in-chunk touch pinned cold tag == true tag, so when a later touch
-       replaces that tag both worlds replace identically and the set's
-       cold state equals its true state from then on.
-     - [direct] (per set x sub): the sub-block was touched directly.  On an
-       unknown set no replacement has happened, so a directly-touched bit
-       is valid in both worlds and a repeat touch is a hit in both.
-
-     A touch whose outcome could still depend on the carried-in state is
-     exactly one with [not known(set) && not direct(set, sub)]; events
-     containing such a touch are logged (packed 3 ints: the access word,
-     recompute/cold-miss masks, cold-fetch masks).  The merge replays only
-     the logged events against the true carried state, recomputing the
-     flagged touches and trusting the recorded cold outcome for the rest,
-     then overwrites the carried state of every [known] set with the
-     chunk's cold end state.  Unknown sets are exact without overwrite:
-     every true-state-changing touch on them was recomputed. *)
-
-  type split = {
-    mutable racc : int;
-    mutable rmiss : int;
-    mutable wacc : int;
-    mutable wmiss : int;
-    mutable fwords : int;
-  }
-
-  let split_make () = { racc = 0; rmiss = 0; wacc = 0; wmiss = 0; fwords = 0 }
-
-  type auto = {
-    a : t;  (* cold automaton; its own counters stay unused *)
-    known : Bytes.t;  (* per-set: cold state equals true state *)
-    direct : Bytes.t;  (* per (set, sub): touched directly this chunk *)
-    asp : split;
-    mutable log : int array;
-    mutable log_n : int;
-  }
-
-  let chunk_start cfg =
-    let a = make cfg in
-    {
-      a;
-      known = Bytes.make ((a.sets + 7) lsr 3) '\000';
-      direct = Bytes.make (Bytes.length a.valid) '\000';
-      asp = split_make ();
-      log = Array.make 256 0;
-      log_n = 0;
-    }
-
-  let log_push au w0 w1 w2 =
-    let n = au.log_n in
-    if n + 3 > Array.length au.log then begin
-      let bigger = Array.make (2 * Array.length au.log) 0 in
-      Array.blit au.log 0 bigger 0 n;
-      au.log <- bigger
-    end;
-    au.log.(n) <- w0;
-    au.log.(n + 1) <- w1;
-    au.log.(n + 2) <- w2;
-    au.log_n <- n + 3
-
-  (* Cold-simulate the part of one event the settled fast path below does
-     not cover (the access itself is counted by the caller), recording
-     per-touch masks.  Touch k of the event gets bit [1 lsl k] in: [need]
-     (outcome depends on carried state; merge recomputes), [miss] (cold
-     miss), [f0]/[f1] (cold filled the touched / the prefetched
-     sub-block). *)
-  let chunk_touch au ~is_read ~addr ~bytes g0 g1 =
-    let c = au.a in
-    let sp = au.asp in
-    let need = ref 0 in
-    let miss = ref 0 in
-    let f0 = ref 0 in
-    let f1 = ref 0 in
-    for k = 0 to g1 - g0 do
-      let gs = g0 + k in
-      let block = gs lsr c.sub_bits in
-      let set = block land c.set_mask in
-      let sub = gs land c.sub_mask in
-      let base = set lsl c.sub_bits in
-      let bit = base lor sub in
-      if not (bit_is_set au.known set || bit_is_set au.direct bit) then
-        need := !need lor (1 lsl k);
-      set_bit au.direct bit;
-      if Array.unsafe_get c.tags set <> block then begin
-        (* A replacement of a tag the chunk itself installed pins the set:
-           cold == true from here on. *)
-        if Array.unsafe_get c.tags set >= 0 then set_bit au.known set;
-        Array.unsafe_set c.tags set block;
-        clear_set c set;
-        miss := !miss lor (1 lsl k);
-        set_bit c.valid bit;
-        sp.fwords <- sp.fwords + c.sub_words;
-        f0 := !f0 lor (1 lsl k);
-        if is_read then begin
-          let p = base lor ((sub + 1) land c.sub_mask) in
-          if not (bit_is_set c.valid p) then begin
-            set_bit c.valid p;
-            sp.fwords <- sp.fwords + c.sub_words;
-            f1 := !f1 lor (1 lsl k)
-          end
-        end
-      end
-      else if not (bit_is_set c.valid bit) then begin
-        miss := !miss lor (1 lsl k);
-        set_bit c.valid bit;
-        sp.fwords <- sp.fwords + c.sub_words;
-        f0 := !f0 lor (1 lsl k);
-        if is_read then begin
-          let p = base lor ((sub + 1) land c.sub_mask) in
-          if not (bit_is_set c.valid p) then begin
-            set_bit c.valid p;
-            sp.fwords <- sp.fwords + c.sub_words;
-            f1 := !f1 lor (1 lsl k)
-          end
-        end
-      end
-    done;
-    if !miss <> 0 then
-      if is_read then sp.rmiss <- sp.rmiss + 1 else sp.wmiss <- sp.wmiss + 1;
-    if !need <> 0 then
-      log_push au
-        ((addr lsl 5) lor (bytes lsl 1) lor (if is_read then 1 else 0))
-        (!need lor (!miss lsl 16))
-        (!f0 lor (!f1 lsl 16))
-
-  (* Settled: sub-block [gs] has its tag and valid bit in place, and its
-     set is pinned ([known]) or the sub-block was already touched directly
-     this chunk — a touch is a hit with no state change in both the cold
-     and the true world.  An access whose one or two sub-blocks are all
-     settled moves neither counters (beyond the access) nor the log. *)
-  let[@inline] settled ~tags ~valid ~direct ~known ~sub_bits ~set_mask
-      ~sub_mask gs =
+  let[@inline] hit ~tags ~valid ~sub_bits ~set_mask ~sub_mask gs =
     let block = gs lsr sub_bits in
     let set = block land set_mask in
-    let bit = (set lsl sub_bits) lor (gs land sub_mask) in
     Array.unsafe_get tags set = block
-    && bit_is_set valid bit
-    && (bit_is_set direct bit || bit_is_set known set)
+    && bit_is_set valid ((set lsl sub_bits) lor (gs land sub_mask))
 
-  let[@inline] settled_span ~tags ~valid ~direct ~known ~sub_bits ~set_mask
-      ~sub_mask g0 g1 =
-    settled ~tags ~valid ~direct ~known ~sub_bits ~set_mask ~sub_mask g0
-    && (g1 = g0
-       || g1 = g0 + 1
-          && settled ~tags ~valid ~direct ~known ~sub_bits ~set_mask ~sub_mask
-               g1)
+  (* The warm batch loops.  The geometry is hoisted out of the loop and
+     an access inside one sub-block whose tag and valid bit are in place
+     is a hit counted locally; a miss or a span takes {!access}. *)
 
-  (* The instruction stream of one chunk, as fetch events (see
-     {!fetch_event_bits}).  An event's first fetch is a full access; its
-     repeats lie in the same sub-block (the builder only forms runs inside
-     one aligned granule no larger than the sub-block), so after the first
-     touch validated the bit and pinned the tag they are hits in both
-     worlds and only count.  The geometry is hoisted out of the loop and
-     the read count accumulates locally. *)
-  let chunk_fetch_events au events ~count_bits ~insn_bytes =
-    let c = au.a in
+  (* An event's first fetch is a full access; its repeats lie in the
+     same sub-block (the builder only forms runs inside one aligned
+     granule no larger than the sub-block), which that first access left
+     valid, so they are hits and only count. *)
+  let fetch_events c events ~count_bits ~insn_bytes =
     let tags = c.tags and valid = c.valid in
-    let direct = au.direct and known = au.known in
     let sub_shift = c.sub_shift and sub_bits = c.sub_bits in
     let set_mask = c.set_mask and sub_mask = c.sub_mask in
     let repeat_mask = (1 lsl count_bits) - 1 in
-    let reads = ref 0 in
+    let hits = ref 0 in
     for k = 0 to Array.length events - 1 do
       let w = Array.unsafe_get events k in
       let pc = w lsr count_bits in
-      reads := !reads + 1 + (w land repeat_mask);
+      hits := !hits + (w land repeat_mask);
       (* Bit 0 of a traced pc marks a wide (4-byte) instruction. *)
       let addr = pc land lnot 1 in
       let bytes = if pc land 1 <> 0 then 4 else insn_bytes in
       let g0 = addr lsr sub_shift in
-      let g1 = (addr + bytes - 1) lsr sub_shift in
       if
-        not
-          (settled_span ~tags ~valid ~direct ~known ~sub_bits ~set_mask
-             ~sub_mask g0 g1)
-      then chunk_touch au ~is_read:true ~addr ~bytes g0 g1
+        (addr + bytes - 1) lsr sub_shift = g0
+        && hit ~tags ~valid ~sub_bits ~set_mask ~sub_mask g0
+      then incr hits
+      else ignore (access c ~is_read:true ~addr ~bytes)
     done;
-    au.asp.racc <- au.asp.racc + !reads
+    c.accesses <- c.accesses + !hits
 
-  (* The data stream of one chunk: nonzero packed records
-     [(addr lsl 5) lor (bytes lsl 1) lor is_write], same loop shape. *)
-  let chunk_data au dinfos =
-    let c = au.a in
+  type data_counts = {
+    mutable reads : int;
+    mutable read_misses : int;
+    mutable writes : int;
+    mutable write_misses : int;
+  }
+
+  let data_counts () =
+    { reads = 0; read_misses = 0; writes = 0; write_misses = 0 }
+
+  let data c (n : data_counts) dinfos =
     let tags = c.tags and valid = c.valid in
-    let direct = au.direct and known = au.known in
     let sub_shift = c.sub_shift and sub_bits = c.sub_bits in
     let set_mask = c.set_mask and sub_mask = c.sub_mask in
-    let writes = ref 0 in
+    let hits = ref 0 and writes = ref 0 in
     for k = 0 to Array.length dinfos - 1 do
       let d = Array.unsafe_get dinfos k in
       let is_write = d land 1 in
@@ -472,162 +327,17 @@ module Cache = struct
       let bytes = (d lsr 1) land 0xF in
       let addr = d lsr 5 in
       let g0 = addr lsr sub_shift in
-      let g1 = (addr + bytes - 1) lsr sub_shift in
       if
-        not
-          (settled_span ~tags ~valid ~direct ~known ~sub_bits ~set_mask
-             ~sub_mask g0 g1)
-      then chunk_touch au ~is_read:(is_write = 0) ~addr ~bytes g0 g1
+        (addr + bytes - 1) lsr sub_shift = g0
+        && hit ~tags ~valid ~sub_bits ~set_mask ~sub_mask g0
+      then incr hits
+      else if access c ~is_read:(is_write = 0) ~addr ~bytes then
+        if is_write = 1 then n.write_misses <- n.write_misses + 1
+        else n.read_misses <- n.read_misses + 1
     done;
-    let sp = au.asp in
-    sp.wacc <- sp.wacc + !writes;
-    sp.racc <- sp.racc + Array.length dinfos - !writes
-
-  type summary = {
-    s_sp : split;
-    s_log : int array;
-    s_known_sets : int array;  (* sets whose cold end state is the truth *)
-    s_known_tags : int array;
-    s_valid : Bytes.t;  (* cold valid bitset at chunk end *)
-  }
-
-  let chunk_finish au =
-    let c = au.a in
-    let ks = ref [] in
-    let nk = ref 0 in
-    for set = c.sets - 1 downto 0 do
-      if bit_is_set au.known set then begin
-        ks := set :: !ks;
-        incr nk
-      end
-    done;
-    let s_known_sets = Array.make !nk 0 in
-    let s_known_tags = Array.make !nk 0 in
-    List.iteri
-      (fun j set ->
-        s_known_sets.(j) <- set;
-        s_known_tags.(j) <- c.tags.(set))
-      !ks;
-    {
-      s_sp = au.asp;
-      s_log = Array.sub au.log 0 au.log_n;
-      s_known_sets;
-      s_known_tags;
-      s_valid = Bytes.copy c.valid;
-    }
-
-  type carry = { c : t; csp : split }
-
-  let carry_start cfg = { c = make cfg; csp = split_make () }
-
-  (* Copy one set's valid bits from a chunk's cold end state into the
-     carried state. *)
-  let copy_set_bits c ~src ~dst set =
-    let base = set lsl c.sub_bits in
-    if c.subs_per_block >= 8 then
-      Bytes.blit src (base lsr 3) dst (base lsr 3) (c.subs_per_block lsr 3)
-    else begin
-      let byte = base lsr 3 in
-      let m = ((1 lsl c.subs_per_block) - 1) lsl (base land 7) in
-      let sv = Char.code (Bytes.get src byte) land m in
-      let dv = Char.code (Bytes.get dst byte) land lnot m land 0xFF in
-      Bytes.set dst byte (Char.unsafe_chr (dv lor sv))
-    end
-
-  let absorb cr (s : summary) =
-    let c = cr.c in
-    let sp = cr.csp in
-    sp.racc <- sp.racc + s.s_sp.racc;
-    sp.rmiss <- sp.rmiss + s.s_sp.rmiss;
-    sp.wacc <- sp.wacc + s.s_sp.wacc;
-    sp.wmiss <- sp.wmiss + s.s_sp.wmiss;
-    sp.fwords <- sp.fwords + s.s_sp.fwords;
-    (* Replay the prefix log against the carried (true) state: recompute
-       the flagged touches, trust the recorded cold outcome elsewhere,
-       and adjust the miss/word totals by the difference. *)
-    let log = s.s_log in
-    let n = Array.length log in
-    let i = ref 0 in
-    while !i < n do
-      let w0 = log.(!i) in
-      let w1 = log.(!i + 1) in
-      let w2 = log.(!i + 2) in
-      i := !i + 3;
-      let is_read = w0 land 1 = 1 in
-      let bytes = (w0 lsr 1) land 0xF in
-      let addr = w0 lsr 5 in
-      let need = w1 land 0xFFFF in
-      let cold_miss = w1 lsr 16 in
-      let cf0 = w2 land 0xFFFF in
-      let cf1 = w2 lsr 16 in
-      let g0 = addr lsr c.sub_shift in
-      let g1 = (addr + bytes - 1) lsr c.sub_shift in
-      let true_missed = ref false in
-      let dwords = ref 0 in
-      for k = 0 to g1 - g0 do
-        let b = 1 lsl k in
-        if need land b <> 0 then begin
-          let gs = g0 + k in
-          let block = gs lsr c.sub_bits in
-          let set = block land c.set_mask in
-          let sub = gs land c.sub_mask in
-          let base = set lsl c.sub_bits in
-          let cold_fetches =
-            (if cf0 land b <> 0 then 1 else 0)
-            + if cf1 land b <> 0 then 1 else 0
-          in
-          let fetches = ref 0 in
-          let fetch idx =
-            if not (bit_is_set c.valid idx) then begin
-              set_bit c.valid idx;
-              incr fetches
-            end
-          in
-          if c.tags.(set) <> block then begin
-            c.tags.(set) <- block;
-            clear_set c set;
-            true_missed := true;
-            fetch (base lor sub);
-            if is_read then fetch (base lor ((sub + 1) land c.sub_mask))
-          end
-          else if not (bit_is_set c.valid (base lor sub)) then begin
-            true_missed := true;
-            fetch (base lor sub);
-            if is_read then fetch (base lor ((sub + 1) land c.sub_mask))
-          end;
-          dwords := !dwords + (c.sub_words * (!fetches - cold_fetches))
-        end
-        else if cold_miss land b <> 0 then true_missed := true
-      done;
-      if !true_missed <> (cold_miss <> 0) then begin
-        let d = if !true_missed then 1 else -1 in
-        if is_read then sp.rmiss <- sp.rmiss + d else sp.wmiss <- sp.wmiss + d
-      end;
-      sp.fwords <- sp.fwords + !dwords
-    done;
-    (* Known sets: the chunk's cold end state is the true end state. *)
-    Array.iteri
-      (fun j set ->
-        c.tags.(set) <- s.s_known_tags.(j);
-        copy_set_bits c ~src:s.s_valid ~dst:c.valid set)
-      s.s_known_sets
-
-  type totals = {
-    reads : int;
-    read_misses : int;
-    writes : int;
-    write_misses : int;
-    fetch_words : int;
-  }
-
-  let carry_totals cr =
-    {
-      reads = cr.csp.racc;
-      read_misses = cr.csp.rmiss;
-      writes = cr.csp.wacc;
-      write_misses = cr.csp.wmiss;
-      fetch_words = cr.csp.fwords;
-    }
+    c.accesses <- c.accesses + !hits;
+    n.writes <- n.writes + !writes;
+    n.reads <- n.reads + Array.length dinfos - !writes
 end
 
 type cached = {

@@ -35,7 +35,7 @@ val miss_rate : cache_stats -> float
 
 (** {1 Instruction-fetch events}
 
-    The chunk engines take a chunk's instruction stream as an int array
+    The replay engine takes a chunk's instruction stream as an int array
     of {e fetch events}.  Under [count_bits = k], word [w] is the traced
     pc [w lsr k] (bit 0 the wide mark, as in the trace) followed by
     [w land (2^k - 1)] repeat fetches.  A repeat lies in the same aligned
@@ -75,63 +75,38 @@ module Cache : sig
 
   val stats : t -> cache_stats
 
-  (** {2 Chunk-parallel engine}
+  (** {2 Batch replay}
 
-      A chunk {!auto} simulates a slice of the access stream with unknown
-      incoming cache state (cold tags, cleared valid bits) and records a
-      compact prefix log of just the events whose outcome could depend on
-      the carried-in state.  A sequential {!absorb} pass then replays only
-      those logs against the true carried state, in chunk order, and the
-      resulting {!carry_totals} are byte-equal to a sequential replay of
-      the whole stream (gated by the differential suite in
-      [test/t_trace.ml]; the reconciliation argument is in DESIGN.md). *)
+      The replay engine's loops over one chunk's stream, on the same
+      warm state as {!access}: an access inside one sub-block whose tag
+      and valid bit are in place is a hit counted in the loop, and a miss
+      or a span takes {!access}.  Sequential oracle and engine thus share
+      this one cache model; [test/t_memsys.ml] checks it against
+      hand-computed cases. *)
 
-  type auto
-  (** One chunk's cold automaton plus its prefix log. *)
+  val fetch_events : t -> int array -> count_bits:int -> insn_bytes:int -> unit
+  (** Replay a chunk's instruction reads, given as fetch events under
+      [count_bits] (see {!fetch_event_bits}; [insn_bytes] sizes an
+      unmarked fetch).  Each event's first fetch is one access of its
+      span; its repeats only count.  That is exact when every run lies
+      inside one sub-block, i.e. when the events were built at a granule
+      no larger than [sub_block_bytes]: the first access leaves the
+      sub-block valid, so the repeats are hits. *)
 
-  val chunk_start : cache_config -> auto
-
-  val chunk_fetch_events :
-    auto -> int array -> count_bits:int -> insn_bytes:int -> unit
-  (** Cold-simulate the chunk's instruction reads, given as fetch events
-      under [count_bits] (see {!fetch_event_bits}; [insn_bytes] sizes an
-      unmarked fetch).  Each event's first fetch is one full access of
-      its span, so a straddle event, or any raw pc ([count_bits = 0]),
-      takes the complete path; its repeats only count.  That is exact
-      when every run lies inside one sub-block, i.e. when the events were
-      built at a granule no larger than [sub_block_bytes]: the first
-      access decides hit or miss, and the repeats are hits in both the
-      cold and the true world. *)
-
-  val chunk_data : auto -> int array -> unit
-  (** Cold-simulate the chunk's data accesses: its nonzero packed records
-      [(addr lsl 5) lor (bytes lsl 1) lor is_write], in order. *)
-
-  type summary
-  (** Immutable chunk result: cold counters, prefix log, and the cold end
-      state of every settled set.  Safe to move across domains. *)
-
-  val chunk_finish : auto -> summary
-
-  type carry
-  (** Sequential merge state: the true cache state carried across chunk
-      boundaries plus the accumulated totals. *)
-
-  val carry_start : cache_config -> carry
-
-  val absorb : carry -> summary -> unit
-  (** Fold the next chunk's summary (chunks must be absorbed in stream
-      order) into the carried state and totals. *)
-
-  type totals = {
-    reads : int;
-    read_misses : int;
-    writes : int;
-    write_misses : int;
-    fetch_words : int;  (** Sub-blocks fetched from memory, in words. *)
+  type data_counts = {
+    mutable reads : int;
+    mutable read_misses : int;
+    mutable writes : int;
+    mutable write_misses : int;
   }
 
-  val carry_totals : carry -> totals
+  val data_counts : unit -> data_counts
+  (** All zero. *)
+
+  val data : t -> data_counts -> int array -> unit
+  (** Replay a chunk's data accesses, its nonzero packed records
+      [(addr lsl 5) lor (bytes lsl 1) lor is_write] in order, adding each
+      to the read or the write side of the counts. *)
 end
 
 (** The cacheless machine's instruction buffer: holds the last fetched
@@ -154,9 +129,6 @@ module Fetchbuf : sig
       buffer one compare each, less than packing it would. *)
 
   val requests : t -> int
-
-  val last_block : t -> int
-  (** The buffered block number, [-1] before the first fetch. *)
 end
 
 val data_requests : bus_bytes:int -> bytes:int -> int

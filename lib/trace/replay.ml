@@ -10,7 +10,7 @@ module Mem = Pipeline.Mem
 (* Chunk decode. --------------------------------------------------------------
 
    One decode per chunk feeds every automaton (caches, fetch buffers,
-   scoreboard).  {!run} decodes chunk i inside its chunk step and keeps
+   scoreboard).  {!run} decodes chunk i just before stepping it and keeps
    nothing: the varint stream is LEB128+zigzag and costs more to walk
    than the automata cost to step, so a caller that replays one reader
    again and again holds a {!decode} of it instead. *)
@@ -71,22 +71,12 @@ end
 
    One pass serves every axis of a spec.  Each chunk is filled once —
    decoded from a stored trace, or written by the execution's hook — and
-   simulated cold, independently of every other chunk (so chunks fan out
-   across domains): the scoreboard, when pipelines are asked for, plus
-   one memory automaton per distinct behaviour class.  The chunk
-   summaries are then absorbed sequentially, in chunk order, into the
-   true carried state — the memory models replay their logged
-   boundary-sensitive prefix ({!Mem.absorb}), the scoreboard re-steps its
-   pre-convergence prefix warm and adopts the cold suffix
-   ({!Scoreboard.absorb}) — which reconstructs exactly the sequential
-   outcome. *)
+   stepped, in stream order, straight into the warm automata: the
+   scoreboard, when pipelines are asked for, plus one memory automaton
+   per distinct behaviour class.  After the last chunk they hold exactly
+   the sequential outcome. *)
 
-type chunk_result = {
-  score : Scoreboard.summary option;  (* iff pipelines were asked for *)
-  mems : Mem.summary array;  (* per distinct memory key *)
-}
-
-type map = (int -> chunk_result) -> int list -> chunk_result list
+type map = (int -> unit) -> int list -> unit list
 
 type cache_pair = { icache : Memsys.cache_config; dcache : Memsys.cache_config }
 
@@ -133,53 +123,18 @@ let dedup_keys keys =
   in
   (Array.of_list (List.rev_map fst !seen), Array.of_list of_item)
 
-let n_regs (img : Link.image) =
-  let t = img.Link.target in
-  (t.Target.n_gpr, t.Target.n_fpr)
-
-(* Cold-simulate one decoded chunk: independent of every other chunk. *)
-let chunk ~score ~insn_bytes keys (d : Decoded.t) =
-  let score =
-    Option.map
-      (fun (img, descs) ->
-        let n_gpr, n_fpr = n_regs img in
-        let ch = Scoreboard.chunk_start ~n_gpr ~n_fpr in
-        let pcs = d.Decoded.pcs in
-        for k = 0 to Array.length pcs - 1 do
-          (* Strip the wide-instruction mark (bit 0) before the index
-             lookup; the scoreboard itself is size-blind. *)
-          let idx = Link.index_at img (Array.unsafe_get pcs k land lnot 1) in
-          Scoreboard.chunk_step ch ~index:idx (Array.unsafe_get descs idx)
-        done;
-        Scoreboard.chunk_finish ch)
-      score
-  in
-  let mems =
-    Array.map
-      (fun key ->
-        let a = Mem.chunk_start ~insn_bytes key in
-        let events, count_bits =
-          Decoded.fetches d ~granule:(Mem.event_bytes key)
-        in
-        Mem.step a events ~count_bits ~dinfos:d.Decoded.dinfos;
-        Mem.chunk_finish a)
-      keys
-  in
-  { score; mems }
-
 let no_result = { nocaches = []; cacheds = []; pipes = [] }
 
 let is_empty = function
   | { buses = []; caches = []; pipelines = [] } -> true
   | _ -> false
 
-(* The engine core, shared by both chunk sources: key dedup, scoreboard
-   set-up, the cold [chunk] step over a decoded chunk, in-order [absorb]
-   and the final charge over [ic] records.  Only where chunk i comes from
-   differs: a stored trace ({!run}) or the execution itself ({!stream}). *)
+(* The engine core, shared by both chunk sources: key dedup, the warm
+   automata, the per-chunk [step] and the final charge over [ic] records.
+   Only where chunk i comes from differs: a stored trace ({!run}) or the
+   execution itself ({!stream}). *)
 type engine = {
-  step : Decoded.t -> chunk_result;
-  absorb : chunk_result -> unit;
+  step : Decoded.t -> unit;
   finish : ic:int -> result;
   pack : granule:int -> int array -> int array;  (* [||]: no key needs it *)
 }
@@ -190,7 +145,12 @@ let engine ?img ~insn_bytes caller spec =
   let score =
     match (spec.pipelines, img) with
     | [], _ -> None
-    | _ :: _, Some img -> Some (img, Predecode.table img)
+    | _ :: _, Some img ->
+      let t = img.Link.target in
+      Some
+        ( img,
+          Predecode.table img,
+          Scoreboard.create ~n_gpr:t.Target.n_gpr ~n_fpr:t.Target.n_fpr )
     | _ :: _, None ->
       invalid_arg (caller ^ ": pipeline configurations need ~img")
   in
@@ -200,31 +160,38 @@ let engine ?img ~insn_bytes caller spec =
       @ List.map cached_key spec.caches
       @ List.map Mem.key spec.pipelines)
   in
-  let warm =
-    Option.map
-      (fun (img, descs) ->
-        let n_gpr, n_fpr = n_regs img in
-        (Scoreboard.create ~n_gpr ~n_fpr, descs))
-      score
-  in
-  let carries = Array.map Mem.carry_start keys in
-  let absorb r =
-    (match (warm, r.score) with
-    | Some (sb, descs), Some s -> Scoreboard.absorb sb descs s
-    | _ -> ());
-    Array.iteri (fun j s -> Mem.absorb carries.(j) s) r.mems
+  let mems = Array.map (Mem.create ~insn_bytes) keys in
+  let step (d : Decoded.t) =
+    Option.iter
+      (fun (img, descs, sb) ->
+        let pcs = d.Decoded.pcs in
+        for k = 0 to Array.length pcs - 1 do
+          (* Strip the wide-instruction mark (bit 0) before the index
+             lookup; the scoreboard itself is size-blind. *)
+          Scoreboard.step sb
+            (Array.unsafe_get descs
+               (Link.index_at img (Array.unsafe_get pcs k land lnot 1)))
+        done)
+      score;
+    Array.iteri
+      (fun j key ->
+        let events, count_bits =
+          Decoded.fetches d ~granule:(Mem.event_bytes key)
+        in
+        Mem.step mems.(j) events ~count_bits ~dinfos:d.Decoded.dinfos)
+      keys
   in
   let finish ~ic =
-    let carry_of i = carries.(of_item.(i)) in
+    let mem_of i = mems.(of_item.(i)) in
     let nb = List.length spec.buses in
     let nc = List.length spec.caches in
     let pipes =
-      match warm with
+      match score with
       | None -> []
-      | Some (sb, _) ->
+      | Some (_, _, sb) ->
         List.mapi
           (fun i cfg ->
-            Mem.charge (carry_of (nb + nc + i)) cfg ~ic
+            Mem.charge (mem_of (nb + nc + i)) cfg ~ic
               ~interlock_clock:(Scoreboard.clock sb)
               ~load_interlocks:(Scoreboard.load_stalls sb)
               ~fp_interlocks:(Scoreboard.fp_stalls sb))
@@ -232,10 +199,10 @@ let engine ?img ~insn_bytes caller spec =
     in
     {
       nocaches =
-        List.mapi (fun i _ -> Mem.nocache_counters (carry_of i)) spec.buses;
+        List.mapi (fun i _ -> Mem.nocache_counters (mem_of i)) spec.buses;
       cacheds =
         List.mapi
-          (fun i _ -> Mem.cached_counters (carry_of (nb + i)))
+          (fun i _ -> Mem.cached_counters (mem_of (nb + i)))
           spec.caches;
       pipes;
     }
@@ -245,32 +212,22 @@ let engine ?img ~insn_bytes caller spec =
       Memsys.fetch_events ~insn_bytes ~granule pcs
     else [||]
   in
-  { step = chunk ~score ~insn_bytes keys; absorb; finish; pack }
+  { step; finish; pack }
 
-(* The stored-trace chunk loop: chunk i comes from [chunk_of e i] inside
-   the cold step, so under [?map] a decode runs on the domain that steps
-   the chunk and dies with the step. *)
-let replay ?map ?img ~insn_bytes ~n_chunks ~ic caller spec chunk_of =
+(* The stored-trace chunk loop: chunk i comes from [chunk_of e i] and is
+   stepped at once, so a decoded chunk dies with its step. *)
+let replay ?img ~insn_bytes ~n_chunks ~ic caller spec chunk_of =
   if is_empty spec then no_result
   else begin
     let e = engine ?img ~insn_bytes caller spec in
-    let step i = e.step (chunk_of e i) in
-    let ids = List.init n_chunks Fun.id in
-    (match map with
-    | Some m -> List.iter e.absorb (m step ids)
-    | None ->
-      (* Sequential replay absorbs each chunk as it is produced: the same
-         chunk order as absorbing the full list, but the summaries —
-         per-key prefix logs included — die young instead of
-         accumulating across the whole trace.  At wide sweeps (16 cache
-         geometries) the retained list's live set scaled as chunks x
-         keys and dominated the run in GC work. *)
-      List.iter (fun i -> e.absorb (step i)) ids);
+    for i = 0 to n_chunks - 1 do
+      e.step (chunk_of e i)
+    done;
     e.finish ~ic
   end
 
-let run ?map ?img rd spec =
-  replay ?map ?img ~insn_bytes:(Trace.Reader.insn_bytes rd)
+let run ?img rd spec =
+  replay ?img ~insn_bytes:(Trace.Reader.insn_bytes rd)
     ~n_chunks:(Trace.Reader.n_chunks rd) ~ic:(Trace.Reader.n_records rd)
     "Replay.run" spec (fun e i -> Decoded.decode ~pack:e.pack rd i)
 
@@ -283,17 +240,16 @@ let decode rd =
     n_records = Trace.Reader.n_records rd;
   }
 
-let run_decoded ?map ?img d spec =
-  replay ?map ?img ~insn_bytes:d.insn_bytes ~n_chunks:(Array.length d.chunks)
+let run_decoded ?img d spec =
+  replay ?img ~insn_bytes:d.insn_bytes ~n_chunks:(Array.length d.chunks)
     ~ic:d.n_records "Replay.run_decoded" spec (fun _ i -> d.chunks.(i))
 
 (* The execution as the chunk source.  The hook fills one chunk's pcs and
    data records in place; a full chunk is packed into fetch events at the
-   granules the spec's keys replay at, stepped and absorbed before the
-   hook returns, so the buffers are reused and no record outlives its
-   chunk.  [?map] sees each chunk as a one-element
-   batch: a span hook still times every chunk, and a pool map of one
-   element runs it on the calling domain. *)
+   granules the spec's keys replay at and stepped before the hook
+   returns, so the buffers are reused and no record outlives its chunk.
+   [?map] is called once per chunk with that chunk alone: a span hook
+   times every chunk's step. *)
 let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
     ~insn_bytes spec drive =
   if chunk_records < 1 then invalid_arg "Replay.stream: chunk_records < 1";
@@ -308,12 +264,9 @@ let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
       let d =
         Decoded.make ~pack:e.pack ~insn_bytes pcs (Array.sub dinfos 0 !nd)
       in
-      let r =
-        match map with
-        | None -> e.step d
-        | Some m -> List.hd (m (fun _ -> e.step d) [ !i ])
-      in
-      e.absorb r;
+      (match map with
+      | None -> e.step d
+      | Some m -> ignore (m (fun _ -> e.step d) [ !i ]));
       ic := !ic + !np;
       incr i;
       np := 0;
@@ -334,8 +287,9 @@ let stream ?map ?img ?(chunk_records = Trace.default_chunk_records)
   end
 
 (* Reference implementations: plain sequential per-record loops, kept as
-   independent baselines for the differential suite (they share no code
-   with the chunk engine above). *)
+   baselines for the differential suite.  They share only the cache model
+   {!Memsys.Cache.access} with the engine above, whose batch loops fall
+   back to it: no chunk decode, no fetch events, no batch loops. *)
 
 module Seq = struct
   let nocache rd ~bus_bytes =

@@ -2,9 +2,9 @@
     pipeline, fed chunk by chunk from a {!Trace.Reader} or from a live
     execution.
 
-    One chunk engine replays a record stream against any mix of bus
-    widths, split I/D cache geometries and full pipeline configurations
-    in one pass.  It has two chunk sources: {!run} decodes chunk [i] of
+    One engine replays a record stream against any mix of bus widths,
+    split I/D cache geometries and full pipeline configurations in one
+    pass.  It has two chunk sources: {!run} decodes chunk [i] of
     a stored trace, and {!stream} fills each chunk from the execution's
     own [on_insn] records, so a sweep needs no trace at all.  Results are
     exactly equal to the sequential oracle {!Seq} over the same records
@@ -12,30 +12,23 @@
     {!Repro_uarch.Uarch}) — the differential suite in [test/t_trace.ml]
     gates on byte-identical counters, from both sources.
 
-    {1 The chunk engine}
+    {1 The engine}
 
-    The engine works chunk by chunk:
+    The engine steps one warm automaton per distinct memory behaviour
+    ({!Repro_uarch.Pipeline.Mem}), plus one scoreboard when pipelines
+    are asked for, chunk by chunk in stream order — a dinero-style
+    sequential pass that keeps the chunk structure:
 
     + {b fill} each chunk once into flat arrays ({!Decoded}) — decoded
-      from the stored varint stream inside the chunk's cold step, taken
-      from a caller-held {!decode}, or written in place by the
-      execution's hook — shared by every automaton fed from that chunk;
-    + {b cold-simulate} each chunk independently: the scoreboard (when
-      pipelines are asked for) and one {!Repro_uarch.Pipeline.Mem}
-      automaton per distinct memory behaviour, each starting from a state
-      that assumes nothing about the carried-in state and recording the
-      boundary bookkeeping its reconciliation needs — a prefix log of
-      boundary-sensitive events (caches, fetch buffers) or a convergence
-      point past which cold provably equals warm (the scoreboard);
-    + {b absorb} sequentially, in chunk order: fold each chunk's summaries
-      into the true carried state, replaying only the logged prefix —
-      never the whole chunk, unless the scoreboard never converged.
+      from the stored varint stream just before its step, taken from a
+      caller-held {!decode}, or written in place by the execution's hook
+      — shared by every automaton fed from that chunk;
+    + {b step} the chunk straight into each automaton, so after the last
+      chunk they hold the sequential outcome.
 
-    The cold step is independent per chunk, so [?map] may fan a stored
-    trace's chunks out across domains; absorption reconstructs exactly
-    the sequential outcome.  Nothing outlives a call: a chunk's arrays
-    die with its step, and a caller that replays one trace repeatedly
-    holds its {!decode} itself. *)
+    Nothing outlives a call: a chunk's arrays die with its step, and a
+    caller that replays one trace repeatedly holds its {!decode}
+    itself. *)
 
 (** One trace chunk decoded into flat arrays, shared by every automaton.
 
@@ -95,30 +88,20 @@ type result = {
       (** Per pipeline configuration, in order. *)
 }
 
-type chunk_result
-(** One chunk's cold summaries: the scoreboard's and each memory
-    automaton's. *)
+type map = (int -> unit) -> int list -> unit list
+(** {!stream}'s per-chunk hook: it is called once per chunk, in order,
+    with that chunk's step and its index alone, and must run the step
+    (a span hook times each chunk; the default is [List.map]). *)
 
-type map = (int -> chunk_result) -> int list -> chunk_result list
-(** The scheduler hook for {!run} and {!stream}: how per-chunk work is
-    distributed (default [List.map]; pass [Repro_harness.Pool.map ~pool]
-    or [~jobs] to fan a stored trace's chunks out across domains). *)
-
-val run :
-  ?map:map ->
-  ?img:Repro_link.Link.image ->
-  Trace.Reader.t ->
-  spec ->
-  result
+val run : ?img:Repro_link.Link.image -> Trace.Reader.t -> spec -> result
 (** Replay the trace against every axis of [spec] from one decode per
-    chunk.  Chunk [i] is decoded inside its cold step — under [?map], on
-    the domain that steps it — packed only at the granules the spec's
-    caches replay at, and dropped after the step: nothing is retained
-    after the call, so a second {!run} over the same reader decodes
-    again (see {!decode}).  Memory automatons are deduplicated by
-    behaviour class across the axes — a pipeline configuration whose
-    memory behaviour also appears as a bus or a cache pair shares one
-    automaton — and the scoreboard (needed only when [spec.pipelines] is
+    chunk.  Chunk [i] is decoded just before its step, packed only at the
+    granules the spec's caches replay at, and dropped after the step:
+    nothing is retained after the call, so a second {!run} over the same
+    reader decodes again (see {!decode}).  Memory automatons are
+    deduplicated by behaviour class across the axes — a pipeline
+    configuration whose memory behaviour also appears as a bus or a cache
+    pair shares one automaton — and the scoreboard (needed only when [spec.pipelines] is
     nonempty) runs once for every pipeline configuration, since
     interlocks depend only on the instruction stream.
 
@@ -143,8 +126,7 @@ val decode : Trace.Reader.t -> decoded
     holds the whole trace as flat arrays (several words per record), for
     as long as the caller keeps it. *)
 
-val run_decoded :
-  ?map:map -> ?img:Repro_link.Link.image -> decoded -> spec -> result
+val run_decoded : ?img:Repro_link.Link.image -> decoded -> spec -> result
 (** {!run} over a held decode: the same chunk loop and engine, so the
     result equals [run rd spec] for the reader [rd] it was decoded from.
     Raises as {!run}. *)
@@ -165,13 +147,14 @@ val stream :
     {!Trace.Writer.create}); each full chunk, and the last partial one
     after [drive] returns, is packed into fetch events only at the
     granules some key of [spec] replays at (none for a bus-only spec),
-    then goes through the same cold step and in-order absorb as {!run}.  [insn_bytes] is the instruction width a trace of
-    the same records would carry in its header.  Returns [drive]'s value
-    and the result, equal to {!run} over a trace of the same records.
+    then goes through the same step as {!run}.  [insn_bytes] is the
+    instruction width a trace of the same records would carry in its
+    header.  Returns [drive]'s value and the result, equal to {!run} over
+    a trace of the same records.
 
-    [?map] receives each chunk as a one-element batch while [drive] is
-    still running: a span hook times every chunk, and
-    [Repro_harness.Pool.map] of one element stays on the calling domain.
+    [?map] is the per-chunk hook ({!map}): it receives each chunk's step
+    as a one-element batch while [drive] is still running, so a span
+    hook times every chunk.
 
     An empty spec still runs [drive], with a hook that ignores its
     records.
@@ -179,10 +162,13 @@ val stream :
     @raise Invalid_argument if [chunk_records < 1], or if
       [spec.pipelines] is nonempty and no [?img] was given. *)
 
-(** Reference implementations: plain sequential per-record loops.  They
-    share nothing with the chunk engine — no chunk decode, no automata,
-    no reconciliation — so the differential suite uses them as
-    independent baselines. *)
+(** Reference implementations: plain sequential per-record loops, the
+    differential suite's baselines.  They share one piece with the engine:
+    the cache model {!Repro_sim.Memsys.Cache.access}, which the engine's
+    batch loops fall back to on a miss or a span.  [test/t_memsys.ml]
+    checks that model against hand-computed cases; the engine's own
+    batching (fetch events, the inlined hit test, chunking, key dedup,
+    the shared scoreboard) is checked against these loops. *)
 module Seq : sig
   val nocache : Trace.Reader.t -> bus_bytes:int -> Repro_sim.Memsys.nocache
 

@@ -9,7 +9,7 @@
     pc, record count, byte offset, checksum) makes traces seekable and
     corruption-detectable.  One captured execution then drives
     arbitrarily many memory-system configurations at replay speed
-    ({!Replay}), chunk-parallel where the counters permit.
+    ({!Replay}), chunk by chunk.
 
     File layout (all integers LEB128 varints unless noted; signed values
     zigzag-coded):
@@ -110,7 +110,8 @@ module Reader : sig
 
   val iter_chunk : t -> int -> (pc:int -> dinfo:int -> unit) -> unit
   (** The per-chunk cursor: records of chunk [i] only.  Independent of
-      every other chunk — this is what chunk-parallel replay runs on.
+      every other chunk, so chunks can be scanned in parallel
+      ([tracedump --working-set]).
       Verifies the chunk's checksum on first touch.
       @raise Corrupt (see above). *)
 end

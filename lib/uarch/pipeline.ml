@@ -2,20 +2,13 @@ module Memsys = Repro_sim.Memsys
 module Link = Repro_link.Link
 module Target = Repro_core.Target
 
-type dcounts = {
-  mutable reads : int;
-  mutable read_misses : int;
-  mutable writes : int;
-  mutable write_misses : int;
-}
-
 type mem_state =
   | Mnocache of { bus_bytes : int; wait_states : int; mutable buffer : int }
   | Mcached of {
       icache : Memsys.Cache.t;
       dcache : Memsys.Cache.t;
       penalty : int;
-      dc : dcounts;
+      dc : Memsys.Cache.data_counts;
     }
 
 type t = {
@@ -44,7 +37,7 @@ let create (cfg : Uconfig.t) (img : Link.image) =
           icache = Memsys.Cache.make icache;
           dcache = Memsys.Cache.make dcache;
           penalty = miss_penalty;
-          dc = { reads = 0; read_misses = 0; writes = 0; write_misses = 0 };
+          dc = Memsys.Cache.data_counts ();
         }
   in
   {
@@ -149,7 +142,7 @@ let result t =
   in
   { stalls; caches }
 
-(* Memory-side chunk engine. ------------------------------------------------
+(* Memory-side replay engine. -------------------------------------------------
 
    The memory-facing stages depend on the configuration only through a
    coarser equivalence class: a cacheless machine's fetch buffer and bus
@@ -186,165 +179,106 @@ module Mem = struct
       let sub = icache.Memsys.sub_block_bytes in
       if sub >= 8 then 8 else if sub >= 4 then 4 else 0
 
-  type auto =
-    | Anocache of {
+  type t =
+    | Nocache of {
         buf : Fetchbuf.t;
-        bus_bytes : int;
-        mutable first_block : int;
-        mutable dread : int;  (* data bus transactions; state-free *)
+        requests : int array;  (* bus transactions per data access size *)
+        mutable dread : int;
         mutable dwrite : int;
       }
-    | Acached of { ia : Cache.auto; da : Cache.auto; insn_bytes : int }
+    | Cached of {
+        icache : Cache.t;
+        dcache : Cache.t;
+        dc : Cache.data_counts;
+        insn_bytes : int;
+      }
 
-  let chunk_start ~insn_bytes = function
+  let create ~insn_bytes = function
     | Knocache { bus_bytes } ->
-      Anocache
+      Nocache
         {
           buf = Fetchbuf.make ~bus_bytes;
-          bus_bytes;
-          first_block = -1;
+          requests =
+            Array.init 16 (fun bytes -> Memsys.data_requests ~bus_bytes ~bytes);
           dread = 0;
           dwrite = 0;
         }
     | Kcached { icache; dcache } ->
-      Acached
-        { ia = Cache.chunk_start icache; da = Cache.chunk_start dcache;
-          insn_bytes }
+      Cached
+        {
+          icache = Cache.make icache;
+          dcache = Cache.make dcache;
+          dc = Cache.data_counts ();
+          insn_bytes;
+        }
 
-  (* One chunk into a fresh automaton: the instruction stream as fetch
-     events under [count_bits] (the raw pcs when 0, always for a fetch
-     buffer), then the nonzero data records.  Cacheless data traffic is
-     state-free: a per-size table of bus transactions. *)
-  let step a events ~count_bits ~dinfos =
-    match a with
-    | Anocache m ->
-      if Array.length events > 0 then
-        m.first_block <- (events.(0) land lnot 1) / m.bus_bytes;
+  (* One chunk: the instruction stream as fetch events under [count_bits]
+     (the raw pcs when 0, always for a fetch buffer), then the nonzero
+     data records.  Cacheless data traffic is state-free: a per-size
+     table of bus transactions. *)
+  let step t events ~count_bits ~dinfos =
+    match t with
+    | Nocache m ->
       Fetchbuf.fetch_events m.buf events;
-      let requests =
-        Array.init 16 (fun bytes ->
-            Memsys.data_requests ~bus_bytes:m.bus_bytes ~bytes)
-      in
       let dread = ref 0 and dwrite = ref 0 in
       for k = 0 to Array.length dinfos - 1 do
         let dinfo = Array.unsafe_get dinfos k in
-        let r = Array.unsafe_get requests ((dinfo lsr 1) land 0xF) in
+        let r = Array.unsafe_get m.requests ((dinfo lsr 1) land 0xF) in
         if dinfo land 1 = 1 then dwrite := !dwrite + r
         else dread := !dread + r
       done;
       m.dread <- m.dread + !dread;
       m.dwrite <- m.dwrite + !dwrite
-    | Acached m ->
-      Cache.chunk_fetch_events m.ia events ~count_bits
-        ~insn_bytes:m.insn_bytes;
-      Cache.chunk_data m.da dinfos
+    | Cached m ->
+      Cache.fetch_events m.icache events ~count_bits ~insn_bytes:m.insn_bytes;
+      Cache.data m.dcache m.dc dinfos
 
-  type summary =
-    | Snocache of {
-        cold_irequests : int;
-        first_block : int;
-        last_block : int;
-        dread : int;
-        dwrite : int;
-      }
-    | Scached of { ic : Cache.summary; dc : Cache.summary }
-
-  let chunk_finish = function
-    | Anocache m ->
-      Snocache
-        {
-          cold_irequests = Fetchbuf.requests m.buf;
-          first_block = m.first_block;
-          last_block = Fetchbuf.last_block m.buf;
-          dread = m.dread;
-          dwrite = m.dwrite;
-        }
-    | Acached m ->
-      Scached { ic = Cache.chunk_finish m.ia; dc = Cache.chunk_finish m.da }
-
-  type carry =
-    | Cnocache of {
-        mutable irequests : int;
-        mutable block : int;
-        mutable dread : int;
-        mutable dwrite : int;
-      }
-    | Ccached of { icar : Cache.carry; dcar : Cache.carry }
-
-  let carry_start = function
-    | Knocache _ -> Cnocache { irequests = 0; block = -1; dread = 0; dwrite = 0 }
-    | Kcached { icache; dcache } ->
-      Ccached { icar = Cache.carry_start icache; dcar = Cache.carry_start dcache }
-
-  let absorb c s =
-    match (c, s) with
-    | Cnocache c, Snocache s ->
-      c.dread <- c.dread + s.dread;
-      c.dwrite <- c.dwrite + s.dwrite;
-      (* Only the chunk's first fetch is boundary-sensitive: cold, it
-         always misses the (empty) buffer; warm, it hits iff the carried
-         buffer already holds its block. *)
-      if s.first_block >= 0 then begin
-        c.irequests <-
-          c.irequests + s.cold_irequests
-          - (if s.first_block = c.block then 1 else 0);
-        c.block <- s.last_block
-      end
-    | Ccached c, Scached s ->
-      Cache.absorb c.icar s.ic;
-      Cache.absorb c.dcar s.dc
-    | _ -> invalid_arg "Pipeline.Mem.absorb: summary from a different key"
-
-  (* The carried request/miss totals as the plain memory-system counter
-     records: a cacheless carry is exactly [Replay.Seq.nocache]'s output,
-     a cached carry exactly [Replay.Seq.cached]'s.  These are
-     what the penalty-free replays ({!Repro_trace.Replay}) read off a
-     sweep — {!charge} prices the same totals for one configuration. *)
+  (* The totals as the plain memory-system counter records: a cacheless
+     [t] is exactly [Replay.Seq.nocache]'s output, a cached one exactly
+     [Replay.Seq.cached]'s.  These are what the penalty-free replays
+     ({!Repro_trace.Replay}) read off a sweep; {!charge} prices the same
+     totals for one configuration. *)
 
   let nocache_counters = function
-    | Cnocache c ->
-      { Memsys.irequests = c.irequests; drequests = c.dread + c.dwrite }
-    | Ccached _ -> invalid_arg "Pipeline.Mem.nocache_counters: cached carry"
+    | Nocache m ->
+      {
+        Memsys.irequests = Fetchbuf.requests m.buf;
+        drequests = m.dread + m.dwrite;
+      }
+    | Cached _ -> invalid_arg "Pipeline.Mem.nocache_counters: cached key"
 
   let cached_counters = function
-    | Ccached c ->
-      let it = Cache.carry_totals c.icar in
-      let dt = Cache.carry_totals c.dcar in
+    | Cached m ->
       {
-        Memsys.icache =
-          {
-            Memsys.accesses = it.Cache.reads + it.Cache.writes;
-            misses = it.Cache.read_misses + it.Cache.write_misses;
-            words_transferred = it.Cache.fetch_words;
-          };
+        Memsys.icache = Cache.stats m.icache;
         dcache_read =
           {
-            Memsys.accesses = dt.Cache.reads;
-            misses = dt.Cache.read_misses;
+            Memsys.accesses = m.dc.reads;
+            misses = m.dc.read_misses;
             words_transferred = 0;
           };
         dcache_write =
           {
-            Memsys.accesses = dt.Cache.writes;
-            misses = dt.Cache.write_misses;
+            Memsys.accesses = m.dc.writes;
+            misses = m.dc.write_misses;
             words_transferred = 0;
           };
       }
-    | Cnocache _ -> invalid_arg "Pipeline.Mem.cached_counters: cacheless carry"
+    | Nocache _ -> invalid_arg "Pipeline.Mem.cached_counters: cacheless key"
 
-  let charge c (cfg : Uconfig.t) ~ic ~interlock_clock ~load_interlocks
+  let charge t (cfg : Uconfig.t) ~ic ~interlock_clock ~load_interlocks
       ~fp_interlocks =
-    match (c, cfg) with
-    | Cnocache c, Uconfig.Nocache { wait_states; _ } ->
+    match (t, cfg) with
+    | Nocache m, Uconfig.Nocache { wait_states; _ } ->
       let stalls =
         Stalls.of_parts ~ic ~interlock_clock ~load_interlocks ~fp_interlocks
-          ~fetch_stalls:(wait_states * c.irequests)
-          ~dmiss_stalls:(wait_states * c.dread)
-          ~wmiss_stalls:(wait_states * c.dwrite)
+          ~fetch_stalls:(wait_states * Fetchbuf.requests m.buf)
+          ~dmiss_stalls:(wait_states * m.dread)
+          ~wmiss_stalls:(wait_states * m.dwrite)
       in
       { stalls; caches = None }
-    | Ccached _, Uconfig.Cached { miss_penalty; _ } ->
-      let counters = cached_counters c in
+    | Cached _, Uconfig.Cached { miss_penalty; _ } ->
+      let counters = cached_counters t in
       let stalls =
         Stalls.of_parts ~ic ~interlock_clock ~load_interlocks ~fp_interlocks
           ~fetch_stalls:(miss_penalty * counters.Memsys.icache.Memsys.misses)
@@ -354,5 +288,5 @@ module Mem = struct
             (miss_penalty * counters.Memsys.dcache_write.Memsys.misses)
       in
       { stalls; caches = Some counters }
-    | _ -> invalid_arg "Pipeline.Mem.charge: carry from a different key"
+    | _ -> invalid_arg "Pipeline.Mem.charge: configuration of a different key"
 end

@@ -36,18 +36,15 @@ val step : t -> iaddr:int -> dinfo:int -> unit
 
 val result : t -> result
 
-(** {1 Memory-side chunk engine}
+(** {1 Memory-side replay engine}
 
     The memory-facing stages see the configuration only through a coarser
     equivalence class — the bus width (cacheless; wait states merely scale
     the request counts) or the two cache geometries (cached; the miss
     penalty merely scales the miss counts) — so a multi-configuration
-    sweep deduplicates its memory automatons by {!Mem.key} and scales at
-    {!Mem.charge} time.  Chunks are simulated cold in parallel
-    ({!Mem.chunk_start}/{!Mem.step}) and reconciled exactly
-    by a sequential {!Mem.absorb} pass: the fetch buffer's only
-    boundary-sensitive event is the chunk's first fetch, and the caches
-    reuse {!Repro_sim.Memsys.Cache}'s prefix-log reconciliation. *)
+    sweep deduplicates its memory automatons by {!Mem.key}, steps one warm
+    {!Mem.t} per class chunk by chunk in stream order, and scales at
+    {!Mem.charge} time. *)
 module Mem : sig
   type key
   (** Memory-behaviour class of a {!Uconfig.t}; structural equality
@@ -63,53 +60,41 @@ module Mem : sig
       a smaller sub-block and for every cacheless key: a fetch buffer
       steps a pc for less than packing it costs. *)
 
-  type auto
-  (** One chunk's cold memory automaton. *)
+  type t
+  (** One class's warm memory automaton and its running totals. *)
 
-  val chunk_start : insn_bytes:int -> key -> auto
+  val create : insn_bytes:int -> key -> t
 
-  val step : auto -> int array -> count_bits:int -> dinfos:int array -> unit
-  (** Replay one chunk into a fresh automaton: its instruction stream as
-      fetch events under [count_bits] ({!Repro_sim.Memsys.fetch_event_bits}
-      for events built at {!event_bytes}, 0 for the raw traced pcs), then
-      its nonzero packed data records, in order.  A cacheless automaton
-      takes the raw pcs ([count_bits = 0]), as {!event_bytes} says. *)
+  val step : t -> int array -> count_bits:int -> dinfos:int array -> unit
+  (** Replay the next chunk: its instruction stream as fetch events under
+      [count_bits] ({!Repro_sim.Memsys.fetch_event_bits} for events built
+      at {!event_bytes}, 0 for the raw traced pcs), then its nonzero
+      packed data records, in order.  A cacheless automaton takes the raw
+      pcs ([count_bits = 0]), as {!event_bytes} says. *)
 
-  type summary
+  val nocache_counters : t -> Repro_sim.Memsys.nocache
+  (** A cacheless automaton's totals as the plain bus-request counters —
+      field-for-field what {!Repro_trace.Replay.Seq.nocache} reports for
+      the same stream.
+      @raise Invalid_argument on a cached automaton. *)
 
-  val chunk_finish : auto -> summary
-
-  type carry
-
-  val carry_start : key -> carry
-
-  val absorb : carry -> summary -> unit
-  (** Fold the next chunk's summary, in stream order.
-      @raise Invalid_argument if the summary came from a different key. *)
-
-  val nocache_counters : carry -> Repro_sim.Memsys.nocache
-  (** The carried totals of a cacheless carry as the plain bus-request
-      counters — field-for-field what {!Repro_trace.Replay.Seq.nocache}
-      reports for the same stream.
-      @raise Invalid_argument on a cached carry. *)
-
-  val cached_counters : carry -> Repro_sim.Memsys.cached
-  (** The carried totals of a cached carry as the plain cache counters —
+  val cached_counters : t -> Repro_sim.Memsys.cached
+  (** A cached automaton's totals as the plain cache counters —
       field-for-field what {!Repro_trace.Replay.Seq.cached} reports for
       the same stream.
-      @raise Invalid_argument on a cacheless carry. *)
+      @raise Invalid_argument on a cacheless automaton. *)
 
   val charge :
-    carry ->
+    t ->
     Uconfig.t ->
     ic:int ->
     interlock_clock:int ->
     load_interlocks:int ->
     fp_interlocks:int ->
     result
-  (** Scale the carried request/miss totals by the configuration's wait
-      states or miss penalty and assemble the full result around the
-      scoreboard counters.  The configuration must belong to the carry's
-      key class.
+  (** Scale the request/miss totals by the configuration's wait states or
+      miss penalty and assemble the full result around the scoreboard
+      counters.  The configuration must belong to the automaton's key
+      class.
       @raise Invalid_argument otherwise. *)
 end

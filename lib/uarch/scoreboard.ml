@@ -55,176 +55,3 @@ let step t (d : Predecode.desc) =
 let clock t = t.clock
 let load_stalls t = t.load_stalls
 let fp_stalls t = t.fp_stalls
-
-(* Chunk-parallel engine. ----------------------------------------------------
-
-   The future behaviour of a scoreboard depends only on its NORMALIZED
-   state: per register the slack [max 0 (ready - clock)] plus the stall
-   cause where the slack is positive (causes on drained registers are
-   never read before the next write overwrites them).  Slack evolution is
-   clock-translation-invariant, so a chunk of the instruction stream can
-   be simulated from a cold scoreboard (all slacks zero) on one domain
-   and reconciled with the true carried-in state later:
-
-   - a write at in-chunk instruction [j] with result latency [L] leaves
-     slack exactly [L] on the destination in ANY run (cold or warm —
-     [ready = clock + 1 + L] relative to the post-step clock), and every
-     subsequent instruction advances the clock by at least one, so that
-     slack is provably zero once [j + 1 + L] instructions have issued;
-   - every slack carried INTO the chunk is at most [drain_horizon] (the
-     largest latency the predecoder ever emits), so it is provably zero
-     once [drain_horizon] instructions have issued.
-
-   Hence at the convergence index [K] — the smallest instruction count
-   that is [>= drain_horizon] and [>= j + 1 + L] for every write seen
-   before it — the cold run and EVERY possible warm run have the same
-   all-drained normalized state.  The sequential merge re-steps only the
-   first [K] instructions from the true carried-in state, then adds the
-   cold run's suffix counter deltas and adopts its end state verbatim.
-   If a chunk never reaches its horizon (short chunk, or a dense chain
-   of long-latency writes near the tail), the summary simply carries the
-   whole chunk's instruction indices and the merge re-steps all of them
-   — the exact sequential fallback, never an approximation. *)
-
-type snapshot = {
-  slack_g : int array;
-  scause_g : Predecode.cause array;
-  slack_f : int array;
-  scause_f : Predecode.cause array;
-  slack_status : int;
-}
-
-let snapshot t =
-  {
-    slack_g = Array.map (fun r -> max 0 (r - t.clock)) t.ready_g;
-    scause_g = Array.copy t.cause_g;
-    slack_f = Array.map (fun r -> max 0 (r - t.clock)) t.ready_f;
-    scause_f = Array.copy t.cause_f;
-    slack_status = max 0 (t.ready_status - t.clock);
-  }
-
-let restore t (s : snapshot) =
-  Array.iteri (fun i sl -> t.ready_g.(i) <- t.clock + sl) s.slack_g;
-  Array.blit s.scause_g 0 t.cause_g 0 (Array.length s.scause_g);
-  Array.iteri (fun i sl -> t.ready_f.(i) <- t.clock + sl) s.slack_f;
-  Array.blit s.scause_f 0 t.cause_f 0 (Array.length s.scause_f);
-  t.ready_status <- t.clock + s.slack_status
-
-(* Equality on what can affect the future: slacks everywhere, causes only
-   where the slack is positive. *)
-let snapshot_equal a b =
-  let causes_agree sl ca cb =
-    Array.for_all
-      (fun i -> sl.(i) = 0 || ca.(i) = cb.(i))
-      (Array.init (Array.length sl) Fun.id)
-  in
-  a.slack_g = b.slack_g && a.slack_f = b.slack_f
-  && a.slack_status = b.slack_status
-  && causes_agree a.slack_g a.scause_g b.scause_g
-  && causes_agree a.slack_f a.scause_f b.scause_f
-
-let drained t =
-  Array.for_all (fun r -> r <= t.clock) t.ready_g
-  && Array.for_all (fun r -> r <= t.clock) t.ready_f
-  && t.ready_status <= t.clock
-
-(* The largest result latency the predecoder ever emits: an upper bound
-   on any slack carried across a chunk boundary. *)
-let drain_horizon =
-  List.fold_left max Repro_sim.Machine.load_latency
-    [
-      Repro_sim.Machine.fp_latency_add; Repro_sim.Machine.fp_latency_mul;
-      Repro_sim.Machine.fp_latency_div; Repro_sim.Machine.fp_latency_cmp;
-    ]
-
-type chunk = {
-  csb : t;  (* the cold automaton *)
-  mutable n : int;  (* instructions stepped so far *)
-  mutable horizon : int;  (* instructions until provably drained *)
-  mutable conv : int;  (* convergence index K, -1 until detected *)
-  mutable pclock : int;  (* cold counters at K *)
-  mutable pload : int;
-  mutable pfp : int;
-  mutable prefix : int array;  (* desc indices of instructions [0, K) *)
-  mutable prefix_n : int;
-}
-
-let chunk_start ~n_gpr ~n_fpr =
-  {
-    csb = create ~n_gpr ~n_fpr;
-    n = 0;
-    horizon = drain_horizon;
-    conv = -1;
-    pclock = 0;
-    pload = 0;
-    pfp = 0;
-    prefix = Array.make 64 0;
-    prefix_n = 0;
-  }
-
-let chunk_step ch ~index (d : Predecode.desc) =
-  if ch.conv < 0 then begin
-    if ch.prefix_n = Array.length ch.prefix then begin
-      let bigger = Array.make (2 * ch.prefix_n) 0 in
-      Array.blit ch.prefix 0 bigger 0 ch.prefix_n;
-      ch.prefix <- bigger
-    end;
-    ch.prefix.(ch.prefix_n) <- index;
-    ch.prefix_n <- ch.prefix_n + 1
-  end;
-  step ch.csb d;
-  (match d.Predecode.write with
-  | Some w when w.Predecode.latency > 0 ->
-    ch.horizon <- max ch.horizon (ch.n + 1 + w.Predecode.latency)
-  | _ -> ());
-  ch.n <- ch.n + 1;
-  if ch.conv < 0 && ch.n >= ch.horizon then begin
-    ch.conv <- ch.n;
-    ch.pclock <- ch.csb.clock;
-    ch.pload <- ch.csb.load_stalls;
-    ch.pfp <- ch.csb.fp_stalls
-  end
-
-let convergence ch = if ch.conv >= 0 then Some ch.conv else None
-
-type summary = {
-  s_conv : int;  (* K, or -1: merge must re-step the whole chunk *)
-  s_prefix : int array;  (* desc indices to re-step from the warm state *)
-  s_pclock : int;  (* cold counters at K... *)
-  s_pload : int;
-  s_pfp : int;
-  s_tclock : int;  (* ...and at chunk end *)
-  s_tload : int;
-  s_tfp : int;
-  s_end : snapshot;  (* cold end state; the truth iff converged *)
-}
-
-let chunk_finish ch =
-  {
-    s_conv = ch.conv;
-    s_prefix = Array.sub ch.prefix 0 ch.prefix_n;
-    s_pclock = ch.pclock;
-    s_pload = ch.pload;
-    s_pfp = ch.pfp;
-    s_tclock = ch.csb.clock;
-    s_tload = ch.csb.load_stalls;
-    s_tfp = ch.csb.fp_stalls;
-    s_end = snapshot ch.csb;
-  }
-
-let absorb t (descs : Predecode.desc array) (s : summary) =
-  let prefix = s.s_prefix in
-  for i = 0 to Array.length prefix - 1 do
-    step t descs.(Array.unsafe_get prefix i)
-  done;
-  if s.s_conv >= 0 then begin
-    (* At the convergence index both the warm and the cold scoreboard are
-       provably drained; if this ever fails, a latency outgrew
-       [drain_horizon] and the merge would be silently wrong. *)
-    if not (drained t) then
-      failwith "Scoreboard.absorb: convergence invariant violated";
-    t.clock <- t.clock + (s.s_tclock - s.s_pclock);
-    t.load_stalls <- t.load_stalls + (s.s_tload - s.s_pload);
-    t.fp_stalls <- t.fp_stalls + (s.s_tfp - s.s_pfp);
-    restore t s.s_end
-  end

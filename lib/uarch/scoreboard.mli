@@ -26,63 +26,3 @@ val clock : t -> int
 
 val load_stalls : t -> int
 val fp_stalls : t -> int
-
-(** {1 Chunk-parallel engine}
-
-    A scoreboard's future depends only on its normalized state: per
-    register the {e slack} [max 0 (ready - clock)] and, where positive,
-    the stall cause.  Slacks decay by at least one per issued instruction
-    and a write leaves slack exactly equal to its latency in {e any} run,
-    so a chunk simulated from a cold scoreboard provably coincides with
-    every possible warm run once [K] instructions have issued, where [K]
-    covers both the largest carried-in slack ({!drain_horizon}) and every
-    write's own drain point.  The sequential merge ({!absorb}) re-steps
-    only those first [K] instructions from the true carried-in state and
-    adopts the cold suffix verbatim; a chunk that never converges is
-    re-stepped whole — exact by construction, never approximate. *)
-
-type snapshot
-(** Normalized (clock-translation-invariant) scoreboard state. *)
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-
-val snapshot_equal : snapshot -> snapshot -> bool
-(** Equality of future behaviour: slacks everywhere, causes only where
-    the slack is positive. *)
-
-val drained : t -> bool
-(** No register busy: every slack is zero. *)
-
-val drain_horizon : int
-(** Upper bound on any slack ever carried across a chunk boundary (the
-    largest result latency {!Predecode} emits). *)
-
-type chunk
-(** A cold scoreboard plus convergence bookkeeping for one trace chunk. *)
-
-val chunk_start : n_gpr:int -> n_fpr:int -> chunk
-
-val chunk_step : chunk -> index:int -> Predecode.desc -> unit
-(** Step the cold automaton.  [index] is the instruction's descriptor
-    index, recorded while the chunk has not yet converged so {!absorb}
-    can re-step the prefix. *)
-
-val convergence : chunk -> int option
-(** Instruction count after which cold = warm provably holds, if
-    detected yet. *)
-
-type summary
-(** Compact boundary summary: convergence point, prefix descriptor
-    indices, cold counters at the convergence point and at chunk end,
-    and the cold end state. *)
-
-val chunk_finish : chunk -> summary
-
-val absorb : t -> Predecode.desc array -> summary -> unit
-(** Advance the warm scoreboard across a summarized chunk: re-step the
-    prefix from the true carried-in state, then (if the chunk converged)
-    add the cold suffix counter deltas and adopt the cold end state.
-
-    @raise Failure if the convergence invariant is violated (would mean
-    a result latency outgrew {!drain_horizon}). *)

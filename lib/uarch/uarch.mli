@@ -6,7 +6,7 @@
     of path length.  {!run_many} times several memory configurations in
     one architectural execution.  Stepping the model over a stored trace
     instead is {!Repro_trace.Replay.Seq.pipelines} (sequential) or
-    {!Repro_trace.Replay.run} (chunk-parallel). *)
+    {!Repro_trace.Replay.run} (one warm engine for many configurations). *)
 
 val run :
   Uconfig.t ->

@@ -11,7 +11,7 @@ module Replay = Repro_trace.Replay
 
 (* A hand-written trace: per record its fetch address and optional data
    access [(is_write, addr, bytes)].  Three records per chunk, so the
-   chunked engine reconciles across chunk boundaries even here. *)
+   chunked engine carries its state across chunk boundaries even here. *)
 let mk_trace ?(insn_bytes = 4) iaddrs daccs =
   let dinfo = function
     | None -> 0

@@ -2,8 +2,8 @@
    delta+varint chunked encoding, corruption detection, and the
    differential gate — trace-replayed memory-system counters and pipeline
    cycle totals must be EXACTLY equal to direct execution on every suite
-   benchmark and both paper machines, with chunk-parallel replay equal to
-   sequential replay. *)
+   benchmark and both paper machines, with stored, held-decode and
+   streamed replay all equal. *)
 
 module Machine = Repro_sim.Machine
 module Memsys = Repro_sim.Memsys
@@ -136,9 +136,9 @@ let test_scratch_growth () =
     [ 1; 7; 512 ]
 
 (* The grid engine on synthetic streams: non-monotonic, unaligned pcs
-   (forcing the raw i-stream path), tiny chunks forcing many
-   reconciliation boundaries, and a sub-block smaller than a word.
-   Sequential and chunk-parallel grid replay must both equal N
+   (forcing the raw i-stream path), tiny chunks forcing many chunk
+   boundaries, and a sub-block smaller than a word.
+   Grid replay, one geometry at a time and all at once, must equal N
    independent per-geometry replays. *)
 let cache_pair (size, block, sub) =
   let cfg = Memsys.cache_config ~size ~block ~sub in
@@ -147,18 +147,17 @@ let cache_pair (size, block, sub) =
 let seq_cached rd (p : Replay.cache_pair) =
   Replay.Seq.cached ~icache:p.Replay.icache ~dcache:p.Replay.dcache rd
 
-let grid_equals_cached rd geometries ~jobs =
+let grid_equals_cached rd geometries =
   let caches = List.map cache_pair geometries in
   (* The expectation comes from the plain per-record reference loop
-     ([Replay.Seq]), which shares nothing with the chunk engine. *)
+     ([Replay.Seq]), which shares only [Memsys.Cache.access] with the
+     engine. *)
   let expect = List.map (seq_cached rd) caches in
-  let cacheds ?map caches =
-    (Replay.run ?map rd { Replay.empty with caches }).Replay.cacheds
+  let cacheds caches =
+    (Replay.run rd { Replay.empty with caches }).Replay.cacheds
   in
   let single = List.concat_map (fun p -> cacheds [ p ]) caches in
-  let seq = cacheds caches in
-  let par = cacheds ~map:(fun f xs -> Pool.map ~jobs f xs) caches in
-  (seq = expect && single = expect, par = expect)
+  cacheds caches = expect && single = expect
 
 let synthetic_grid =
   let geometries = [ (32, 4, 2); (64, 8, 8); (256, 16, 4); (1024, 32, 32) ] in
@@ -169,8 +168,7 @@ let synthetic_grid =
     (fun records ->
       Capture.with_temp (fun path ->
           let rd, _ = roundtrip ~chunk_records:16 records path in
-          let seq_ok, par_ok = grid_equals_cached rd geometries ~jobs:3 in
-          seq_ok && par_ok))
+          grid_equals_cached rd geometries))
 
 (* The fetch-event builder's edges ({!Replay.Decoded}): wide-marked
    fetches at every pc mod 8, so runs straddle both the 4- and the 8-byte
@@ -179,8 +177,8 @@ let synthetic_grid =
    and one region of pcs that does not pack at all, so those chunks
    replay from the raw pcs.  Data records cycle through sizes, reads and
    writes.  Every axis — sub-blocks of 2/4/8/16 bytes, buses of 2/4/8 —
-   must equal the reference loops, sequential and chunk-parallel, at
-   chunk sizes of 1, 7 and 512 records. *)
+   must equal the reference loops, stored, held and streamed, at chunk
+   sizes of 1, 7 and 512 records. *)
 let event_edge_records =
   let high = 1 lsl 42 in
   let unpackable = 1 lsl 55 in
@@ -284,17 +282,9 @@ let test_fetch_events () =
               in
               Alcotest.(check bool) (label "sequential") true
                 (Replay.run rd spec = expect);
-              Alcotest.(check bool) (label "chunk-parallel") true
-                (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) rd spec
-                = expect);
               let decoded = Replay.decode rd in
               Alcotest.(check bool) (label "held decode") true
                 (Replay.run_decoded decoded spec = expect);
-              Alcotest.(check bool) (label "held decode, chunk-parallel") true
-                (Replay.run_decoded
-                   ~map:(fun f xs -> Pool.map ~jobs:3 f xs)
-                   decoded spec
-                = expect);
               Alcotest.(check bool) (label "streamed") true
                 (snd
                    (Replay.stream ~chunk_records ~insn_bytes spec
@@ -367,21 +357,17 @@ let synthetic_upipelines =
               in
               let all_expect = seq_all_axes rd img in
               let expect = all_expect.Replay.pipes in
-              let run ?map spec = Replay.run ?map ~img rd spec in
-              let par = Some (fun f xs -> Pool.map ~jobs:3 f xs) in
+              let run spec = Replay.run ~img rd spec in
               (* Pipelines alone, and every axis at once. *)
               let pipes_only = { Replay.empty with pipelines = synth_cfgs } in
-              List.for_all
-                (fun map ->
-                  (run ?map pipes_only).Replay.pipes = expect
-                  && run ?map synth_all_axes = all_expect)
-                [ None; par ]))
+              (run pipes_only).Replay.pipes = expect
+              && run synth_all_axes = all_expect))
         (Lazy.force synth_images))
 
 (* The execution as the chunk source: a synthetic stream fed through
    {!Replay.stream} at 1-, 7- and 512-record chunks equals {!Replay.run}
    and {!Replay.run_decoded} over the same stream captured at that chunk
-   size, and {!Replay.Seq}, sequential and with [~map] — so the last
+   size, and {!Replay.Seq}, without and with a per-chunk [~map] — so the last
    partial chunk is flushed and the record count is exact whatever the
    stream's length. *)
 let synthetic_stream =
@@ -412,9 +398,8 @@ let synthetic_stream =
                           synth_all_axes (feed records)
                       in
                       live = expect
-                      && live = Replay.run ?map ~img rd synth_all_axes
-                      && live
-                         = Replay.run_decoded ?map ~img decoded synth_all_axes)
+                      && live = Replay.run ~img rd synth_all_axes
+                      && live = Replay.run_decoded ~img decoded synth_all_axes)
                     [ None; Some (fun f xs -> Pool.map ~pool f xs) ])
                 [ 1; 7; 512 ])
             (Lazy.force synth_images)))
@@ -627,8 +612,8 @@ let test_unlink_while_mapped () =
         (List.rev !out = records))
 
 (* The differential gate (acceptance criterion): replayed Memsys counters
-   and pipeline totals exactly equal direct execution, chunk-parallel
-   equals sequential. *)
+   and pipeline totals exactly equal direct execution, from a stored
+   trace and streamed from the execution. *)
 
 let cache_points = [ (1024, 32, 4, 8); (4096, 64, 8, 12) ]
 
@@ -690,19 +675,16 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
   in
   Alcotest.(check int) (name "records = ic") r.Machine.ic
     (Reader.n_records rd);
-  (* Fetch-buffer counters: the reference per-record loop, the chunked
-     engine sequential, and the chunked engine parallel all equal
-     direct execution. *)
+  (* Fetch-buffer counters: the reference per-record loop and the chunked
+     engine both equal direct execution. *)
   List.iter2
     (fun bus (direct : Memsys.nocache) ->
       let reference = Replay.Seq.nocache rd ~bus_bytes:bus in
-      let nocache ?map () =
+      let seq =
         List.hd
-          (Replay.run ?map rd { Replay.empty with buses = [ bus ] })
+          (Replay.run rd { Replay.empty with buses = [ bus ] })
             .Replay.nocaches
       in
-      let seq = nocache () in
-      let par = nocache ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
       Alcotest.(check int)
         (name "bus=%d ireq ref" bus)
         direct.Memsys.irequests reference.Memsys.irequests;
@@ -714,13 +696,7 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
         direct.Memsys.irequests seq.Memsys.irequests;
       Alcotest.(check int)
         (name "bus=%d dreq seq" bus)
-        direct.Memsys.drequests seq.Memsys.drequests;
-      Alcotest.(check int)
-        (name "bus=%d ireq par" bus)
-        direct.Memsys.irequests par.Memsys.irequests;
-      Alcotest.(check int)
-        (name "bus=%d dreq par" bus)
-        direct.Memsys.drequests par.Memsys.drequests)
+        direct.Memsys.drequests seq.Memsys.drequests)
     buses direct_nocaches;
   (* Cache replay: counters field-for-field, cycles via the paper's
      formula and equal to the live pipeline's. *)
@@ -743,23 +719,19 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
         live.Pipeline.stalls.Stalls.cycles
         (Memsys.cached_cycles ~miss_penalty:penalty r replayed))
     cache_points live_caches;
-  (* Grid engine: one decode feeding every geometry — sequential and
-     chunk-parallel both equal to independent per-geometry replays. *)
-  let seq_ok, par_ok = grid_equals_cached rd grid_geos ~jobs:3 in
-  Alcotest.(check bool) (name "grid sequential equal") true seq_ok;
-  Alcotest.(check bool) (name "grid parallel equal") true par_ok;
+  (* Grid engine: one decode feeding every geometry, equal to independent
+     per-geometry replays. *)
+  Alcotest.(check bool) (name "grid sequential equal") true
+    (grid_equals_cached rd grid_geos);
   (* Pipeline model: the streamed run, the sequential per-config trace
-     replay and the multi-config grid engine (sequential and
-     chunk-parallel) all integer-equal on the standard sweep. *)
+     replay and the multi-config grid engine all integer-equal on the
+     standard sweep. *)
   let cfgs = Runs.standard_uarch_configs in
   let _, streamed = Uarch.run_many cfgs img in
   let replayed = Replay.Seq.pipelines rd cfgs img in
-  let pipes ?map () =
-    (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
-      .Replay.pipes
+  let useq =
+    (Replay.run ~img rd { Replay.empty with pipelines = cfgs }).Replay.pipes
   in
-  let useq = pipes () in
-  let upar = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
   List.iteri
     (fun i (s : Pipeline.result) ->
       let d = Uconfig.describe (List.nth cfgs i) in
@@ -774,12 +746,10 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
           (s.Pipeline.caches = p.Pipeline.caches)
       in
       against "replay" (List.nth replayed i);
-      against "grid seq" (List.nth useq i);
-      against "grid par" (List.nth upar i))
+      against "grid seq" (List.nth useq i))
     streamed;
   (* Every axis at once from one decode: each sub-result byte-equal
-     to direct execution / the reference loops, sequential and
-     chunk-parallel. *)
+     to direct execution / the reference loops. *)
   let spec =
     {
       Replay.buses = buses;
@@ -816,11 +786,10 @@ let differential ?(buses = [ 4; 8 ]) ?(grid_geos = grid_geos) bench
       f.Replay.pipes
   in
   check_all "seq" (Replay.run ~img rd spec);
-  check_all "par"
-    (Replay.run ~map:(fun f xs -> Pool.map ~jobs:3 f xs) ~img rd spec);
   (* The execution as the chunk source: one more run of the program
-     through {!Replay.stream}, no trace written — sequential, and with
-     every chunk stepped on a pool worker while the execution waits. *)
+     through {!Replay.stream}, no trace written — in line, and with
+     every chunk stepped through a pool's map while the execution
+     waits. *)
   let live ?map () =
     snd
       (Replay.stream ?map ~img ~chunk_records:10_000

@@ -16,10 +16,8 @@ module Uconfig = Repro_uarch.Uconfig
 module Pipeline = Repro_uarch.Pipeline
 module Stalls = Repro_uarch.Stalls
 module Predecode = Repro_uarch.Predecode
-module Scoreboard = Repro_uarch.Scoreboard
 module Replay = Repro_trace.Replay
 module Reader = Repro_trace.Trace.Reader
-module Pool = Repro_harness.Pool
 module Runs = Repro_harness.Runs
 
 let bus_widths = [ 2; 4; 8 ]
@@ -198,103 +196,6 @@ let test_attribution_fetch () =
   Alcotest.(check int) "DLXe fetch stalls = l * ic"
     (2 * dlxe.Stalls.ic) dlxe.Stalls.fetch_stalls
 
-(* Handwritten descriptor streams for the scoreboard chunk engine: one
-   that drains (convergence must be detected, cold suffix adopted
-   verbatim) and one shorter than the horizon (no convergence, absorb
-   must take the full re-step fallback) — both exactly equal to direct
-   warm stepping. *)
-let d_alu d a =
-  {
-    Predecode.reads = [ Predecode.Rg a ];
-    write =
-      Some { Predecode.dst = Predecode.Wg d; latency = 0; cause = Predecode.Load };
-  }
-
-let d_load d a =
-  {
-    Predecode.reads = [ Predecode.Rg a ];
-    write =
-      Some
-        {
-          Predecode.dst = Predecode.Wg d;
-          latency = Machine.load_latency;
-          cause = Predecode.Load;
-        };
-  }
-
-let d_div d a =
-  {
-    Predecode.reads = [ Predecode.Rf a ];
-    write =
-      Some
-        {
-          Predecode.dst = Predecode.Wf d;
-          latency = Machine.fp_latency_div;
-          cause = Predecode.Fp;
-        };
-  }
-
-let test_scoreboard_chunks () =
-  let descs =
-    [|
-      d_div 1 0; d_load 2 0; d_alu 3 2; d_div 4 1; d_alu 5 0; d_alu 6 5;
-      d_alu 7 6; d_alu 1 7; d_alu 2 1; d_alu 3 2; d_alu 4 3; d_alu 5 4;
-    |]
-  in
-  let n = Array.length descs in
-  (* Carried-in state at the boundary: two FP divides in flight. *)
-  let mk () =
-    let sb = Scoreboard.create ~n_gpr:8 ~n_fpr:8 in
-    Scoreboard.step sb descs.(0);
-    Scoreboard.step sb descs.(3);
-    sb
-  in
-  let counters sb =
-    (Scoreboard.clock sb, Scoreboard.load_stalls sb, Scoreboard.fp_stalls sb)
-  in
-  let run_chunk len =
-    let direct = mk () in
-    for i = 0 to len - 1 do
-      Scoreboard.step direct descs.(i)
-    done;
-    let ch = Scoreboard.chunk_start ~n_gpr:8 ~n_fpr:8 in
-    for i = 0 to len - 1 do
-      Scoreboard.chunk_step ch ~index:i descs.(i)
-    done;
-    let sb = mk () in
-    Scoreboard.absorb sb descs (Scoreboard.chunk_finish ch);
-    (direct, ch, sb)
-  in
-  let check_equal what direct sb =
-    Alcotest.(check (triple int int int))
-      (what ^ " counters") (counters direct) (counters sb);
-    Alcotest.(check bool) (what ^ " end state") true
-      (Scoreboard.snapshot_equal (Scoreboard.snapshot direct)
-         (Scoreboard.snapshot sb))
-  in
-  (* Long chunk: drains well past the horizon. *)
-  let direct, ch, sb = run_chunk n in
-  Alcotest.(check bool) "long chunk converges" true
-    (Scoreboard.convergence ch <> None);
-  check_equal "long chunk" direct sb;
-  Alcotest.(check bool) "long chunk drains" true (Scoreboard.drained sb);
-  (* Short chunk: ends before the horizon, falls back to full re-step. *)
-  let direct, ch, sb = run_chunk 3 in
-  Alcotest.(check bool) "short chunk does not converge" true
-    (Scoreboard.convergence ch = None);
-  check_equal "short chunk" direct sb;
-  Alcotest.(check bool) "short chunk carries busy registers" true
-    (not (Scoreboard.drained sb));
-  (* Normalized state round-trip: restore after unrelated stepping. *)
-  let saved = Scoreboard.snapshot direct in
-  let other = Scoreboard.create ~n_gpr:8 ~n_fpr:8 in
-  for i = 0 to n - 1 do
-    Scoreboard.step other descs.(i)
-  done;
-  Scoreboard.restore other saved;
-  Alcotest.(check bool) "restore reproduces the snapshot" true
-    (Scoreboard.snapshot_equal saved (Scoreboard.snapshot other))
-
 let test_predecode_shared () =
   (* The descriptor table is a pure function of the program: two compiles
      of the same source give equal tables, whichever one a replay
@@ -324,12 +225,10 @@ let test_grid_equals_streamed () =
       let img = Compile.compile t src in
       let _, rd = Capture.capture ~chunk_records:77 img in
       let _, streamed = Uarch.run_many cfgs img in
-      let pipes ?map () =
-        (Replay.run ?map ~img rd { Replay.empty with pipelines = cfgs })
+      let grid =
+        (Replay.run ~img rd { Replay.empty with pipelines = cfgs })
           .Replay.pipes
       in
-      let seq = pipes () in
-      let par = pipes ~map:(fun f xs -> Pool.map ~jobs:3 f xs) () in
       List.iteri
         (fun i (s : Pipeline.result) ->
           let d = t.Target.name ^ " " ^ Uconfig.describe (List.nth cfgs i) in
@@ -343,8 +242,7 @@ let test_grid_equals_streamed () =
               true
               (s.Pipeline.caches = p.Pipeline.caches)
           in
-          against "grid seq" (List.nth seq i);
-          against "grid par" (List.nth par i))
+          against "grid" (List.nth grid i))
         streamed)
     [ Target.d16; Target.dlxe ]
 
@@ -373,7 +271,6 @@ let tests =
     Alcotest.test_case "attribution: load" `Quick test_attribution_load;
     Alcotest.test_case "attribution: fp" `Quick test_attribution_fp;
     Alcotest.test_case "attribution: fetch" `Quick test_attribution_fetch;
-    Alcotest.test_case "scoreboard chunk engine" `Quick test_scoreboard_chunks;
     Alcotest.test_case "predecode table shared" `Quick test_predecode_shared;
     Alcotest.test_case "stream = replay" `Slow test_stream_equals_replay;
     Alcotest.test_case "grid = streamed, adversarial chunks" `Slow
