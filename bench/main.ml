@@ -169,12 +169,6 @@ let trace_tests =
       (Staged.stage (fun () ->
            ignore
              (Replay.run_decoded decoded { Replay.empty with buses = [ 4 ] })));
-    (* The replay engine is sequential, so this times the same path as
-       trace-fetch-seq; the name stays for the tracked series. *)
-    Test.make ~name:"trace-fetch-par:queens"
-      (Staged.stage (fun () ->
-           ignore
-             (Replay.run_decoded decoded { Replay.empty with buses = [ 4 ] })));
     Test.make ~name:"sweep-replay:4cfg:queens"
       (Staged.stage (fun () ->
            match Trace.Reader.open_file path with
@@ -351,17 +345,15 @@ let isavar_tests =
   ]
 
 (* Service-plane substrates: what the `d16c serve` daemon charges for a
-   request, and what its coalescing/batching save.  One lazy in-process
-   server on a private socket and a private cache dir (created at the
-   first serve test, so its idle worker domains cannot tax the earlier
+   request, and what its coalescing saves.  One lazy in-process server
+   on a private socket and a private cache dir (created at the first
+   serve test, so its idle worker domains cannot tax the earlier
    measurements through stop-the-world collector synchronization).  Every
    iteration starts COLD (memo and disk cache cleared): the point of
    comparison is N independent cold clients (serve:direct:8x1, each
    request pays the full computation, the pre-server workflow) against
    8 concurrent duplicates answered by one coalesced run
-   (serve:coalesce:8x1) and a grid+uarch pair answered by one fused
-   batch (serve:batch:grid).  CI gates (advisorily) on coalesce <
-   direct. *)
+   (serve:coalesce:8x1).  CI gates (advisorily) on coalesce < direct. *)
 let serve_tests =
   let module Diskcache = Repro_harness.Diskcache in
   let module Runs = Repro_harness.Runs in
@@ -373,7 +365,7 @@ let serve_tests =
   let spec s =
     match Plan.spec_of_string s with Ok s -> s | Error m -> failwith m
   in
-  let grid = spec "grid:queens:d16" and uarch = spec "uarch:queens:d16" in
+  let grid = spec "grid:queens:d16" in
   let env =
     lazy
       (let tmp = Filename.get_temp_dir_name () in
@@ -391,7 +383,6 @@ let serve_tests =
            (Server.default_config ()) with
            Server.unix_path = Some sock;
            tcp = None;
-           window_ms = 5.;
            log = ignore;
            log_interval_s = 0.;
          }
@@ -440,11 +431,6 @@ let serve_tests =
            let addr = Lazy.force env in
            cold ();
            volley addr (List.init 8 (fun _ -> Proto.Sweep grid))));
-    Test.make ~name:"serve:batch:grid"
-      (Staged.stage (fun () ->
-           let addr = Lazy.force env in
-           cold ();
-           volley addr [ Proto.Sweep grid; Proto.Sweep uarch ]));
     Test.make ~name:"serve:direct:8x1"
       (Staged.stage (fun () ->
            ignore (Lazy.force env);

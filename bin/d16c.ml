@@ -178,10 +178,10 @@ let print_response = function
     Printf.printf
       "up=%.1fs accepted=%d completed=%d failed=%d\n\
        coalesced=%d batches=%d batched=%d max-batch=%d runs=%d\n\
-       queue=%d waiting=%d timeouts=%d shed=%d disk=%d/%d lat(avg/max)=%.1f/%.1fms\n"
+       queue=%d timeouts=%d shed=%d disk=%d/%d lat(avg/max)=%.1f/%.1fms\n"
       s.Proto.uptime_s s.Proto.accepted s.Proto.completed s.Proto.failed
       s.Proto.coalesced s.Proto.batches s.Proto.batched s.Proto.max_batch
-      s.Proto.runs s.Proto.queue_depth s.Proto.waiting s.Proto.timeouts
+      s.Proto.runs s.Proto.queue_depth s.Proto.timeouts
       s.Proto.shed s.Proto.disk_hits s.Proto.disk_misses
       (if s.Proto.completed = 0 then 0.
        else s.Proto.latency_ms_sum /. float_of_int s.Proto.completed)
@@ -273,8 +273,8 @@ let client_cmd =
       & info [ "dup" ]
           ~doc:
             "Send each request $(docv) times at once from $(docv) \
-             connections (demonstrates coalescing/batching: responses \
-             report batch=$(docv) and identical digests).")
+             connections (demonstrates coalescing: responses report \
+             batch=$(docv) and identical digests).")
   in
   let reqs =
     Arg.(
@@ -292,15 +292,25 @@ let client_cmd =
 
 (* serve ----------------------------------------------------------------- *)
 
-(* In-process end-to-end self-test: serve on a private socket, drive it
-   with real clients over real sockets, and check the coalescing and
-   batching counters — the CI smoke path with no daemon management. *)
+(* In-process end-to-end self-test: serve on a private socket over a
+   private, empty cache directory, drive it with real clients over real
+   sockets, and check the coalescing counters — the CI smoke path with
+   no daemon management.  The empty cache keeps the duplicate requests
+   cold, so they are still in flight together and must coalesce; over a
+   warm cache each can finish before the next arrives. *)
 let self_test (cfg : Server.config) =
-  let path =
+  let module Diskcache = Repro_harness.Diskcache in
+  let base =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "d16c-once-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "d16c-once-%d" (Unix.getpid ()))
   in
+  let path = base ^ ".sock" in
+  Diskcache.set_dir base;
+  Fun.protect ~finally:(fun () ->
+      Diskcache.clear ();
+      try Sys.rmdir base with Sys_error _ -> ())
+  @@ fun () ->
   let cfg = { cfg with Server.unix_path = Some path; tcp = None } in
   match Server.start cfg with
   | Error m ->
@@ -353,8 +363,7 @@ let self_test (cfg : Server.config) =
           | [] -> ());
           (match rpc c Proto.Status with
           | Proto.Status_r s ->
-            check "coalesced-or-batched"
-              (s.Proto.coalesced + s.Proto.batched > 0);
+            check "coalesced" (s.Proto.coalesced > 0 && s.Proto.batches >= 1);
             check "runs-bounded" (s.Proto.runs < 2 + n)
           | _ -> check "status" false);
           check "digest-nonempty" (digest <> "")
@@ -371,7 +380,7 @@ let self_test (cfg : Server.config) =
       1
     end
 
-let serve_main socket tcp jobs window_ms queue deadline_ms log_interval once =
+let serve_main socket tcp jobs queue deadline_ms log_interval once =
   let base = Server.default_config () in
   let cfg =
     {
@@ -379,7 +388,6 @@ let serve_main socket tcp jobs window_ms queue deadline_ms log_interval once =
       Server.unix_path = Some (Option.value ~default:(default_socket ()) socket);
       tcp;
       jobs;
-      window_ms;
       max_queue = queue;
       default_deadline_ms = float_of_int deadline_ms;
       log_interval_s = log_interval;
@@ -399,11 +407,6 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~doc:"Worker domains (default: cores, min 2).")
-  in
-  let window =
-    Arg.(
-      value & opt float 10.
-      & info [ "window-ms" ] ~doc:"Batching window in milliseconds.")
   in
   let queue =
     Arg.(
@@ -435,7 +438,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Run the experiment server daemon.")
     Term.(const serve_main $ socket_arg
           $ tcp_arg ~doc:"Also listen on TCP HOST:PORT."
-          $ jobs $ window $ queue $ deadline $ log_interval $ once)
+          $ jobs $ queue $ deadline $ log_interval $ once)
 
 (* fusion ---------------------------------------------------------------- *)
 

@@ -8,8 +8,8 @@
     checksum suffices.  Two executions that produce byte-equal
     measurements produce equal digests — which is how the server's
     clients, the differential tests, and the CI smoke job check that a
-    batched or coalesced request returned exactly what a directly-run
-    plan would have. *)
+    coalesced request returned exactly what a directly-run plan would
+    have. *)
 
 val of_spec : Repro_harness.Plan.spec -> string
 

@@ -22,7 +22,6 @@ type status = {
   max_batch : int;
   runs : int;
   queue_depth : int;
-  waiting : int;
   timeouts : int;
   shed : int;
   disk_hits : int;
@@ -122,7 +121,6 @@ let status_to_fields s =
     ("max_batch", Json.Int s.max_batch);
     ("runs", Json.Int s.runs);
     ("queue_depth", Json.Int s.queue_depth);
-    ("waiting", Json.Int s.waiting);
     ("timeouts", Json.Int s.timeouts);
     ("shed", Json.Int s.shed);
     ("disk_hits", Json.Int s.disk_hits);
@@ -144,7 +142,6 @@ let status_of_json j =
   int "max_batch" @@ fun max_batch ->
   int "runs" @@ fun runs ->
   int "queue_depth" @@ fun queue_depth ->
-  int "waiting" @@ fun waiting ->
   int "timeouts" @@ fun timeouts ->
   int "shed" @@ fun shed ->
   int "disk_hits" @@ fun disk_hits ->
@@ -163,7 +160,6 @@ let status_of_json j =
       max_batch;
       runs;
       queue_depth;
-      waiting;
       timeouts;
       shed;
       disk_hits;

@@ -42,14 +42,16 @@ type status = {
   completed : int;
   failed : int;  (** Error responses sent (all codes). *)
   coalesced : int;
-      (** Requests that joined an already-pending identical job instead
+      (** Requests that joined an identical job already in flight instead
           of spawning their own computation. *)
-  batches : int;  (** Batched executions that served > 1 request. *)
-  batched : int;  (** Requests served through those executions. *)
-  max_batch : int;
+  batches : int;
+      (** Finished executions that answered more than one request (the
+          first plus coalesced joins), i.e. whose responses carry
+          [batch > 1]. *)
+  batched : int;  (** Requests answered by those executions. *)
+  max_batch : int;  (** The largest [batch] any execution answered. *)
   runs : int;  (** Underlying executions actually dispatched. *)
   queue_depth : int;  (** Jobs dispatched to the pool, not yet finished. *)
-  waiting : int;  (** Jobs parked in the batching window. *)
   timeouts : int;
   shed : int;
   disk_hits : int;  (** {!Repro_harness.Diskcache} counters. *)
@@ -69,9 +71,9 @@ type response =
               only for equality; the scheme (crc32c hex) is an
               implementation detail of the server generation. *)
       batch : int;
-          (** How many requests the same underlying execution served
-              (1 = this one ran alone, more = it was coalesced or
-              batched). *)
+          (** How many requests the same underlying execution answered
+              (1 = this one ran alone, more = identical requests
+              coalesced onto it). *)
       ms : float;  (** Server-side latency of this request. *)
     }
   | Render_r of { id : string; text : string }

@@ -6,7 +6,6 @@ type config = {
   unix_path : string option;
   tcp : (string * int) option;
   jobs : int option;
-  window_ms : float;
   max_queue : int;
   default_deadline_ms : float;
   log : string -> unit;
@@ -18,7 +17,6 @@ let default_config () =
     unix_path = Some (Filename.concat (Diskcache.dir ()) "d16c.sock");
     tcp = None;
     jobs = None;
-    window_ms = 10.;
     max_queue = 64;
     default_deadline_ms = 60_000.;
     log = (fun s -> Printf.eprintf "%s\n%!" s);
@@ -74,11 +72,11 @@ let log_status h =
   h.cfg.log
     (Printf.sprintf
        "serve: up %.1fs reqs=%d done=%d failed=%d lat(avg/max)=%.1f/%.1fms \
-        queue=%d window=%d coalesced=%d batches=%d (reqs %d, max %d) runs=%d \
+        queue=%d coalesced=%d batches=%d (reqs %d, max %d) runs=%d \
         timeouts=%d shed=%d disk=%d/%d"
        s.Proto.uptime_s s.Proto.accepted s.Proto.completed s.Proto.failed avg
-       s.Proto.latency_ms_max s.Proto.queue_depth s.Proto.waiting
-       s.Proto.coalesced s.Proto.batches s.Proto.batched s.Proto.max_batch
+       s.Proto.latency_ms_max s.Proto.queue_depth s.Proto.coalesced
+       s.Proto.batches s.Proto.batched s.Proto.max_batch
        s.Proto.runs s.Proto.timeouts s.Proto.shed s.Proto.disk_hits
        s.Proto.disk_misses)
 
@@ -280,8 +278,7 @@ let start (cfg : config) =
         {
           cfg;
           batcher =
-            Batcher.create ?jobs:cfg.jobs ~window_ms:cfg.window_ms
-              ~max_queue:cfg.max_queue ();
+            Batcher.create ?jobs:cfg.jobs ~max_queue:cfg.max_queue ();
           started = Unix.gettimeofday ();
           listeners = List.filter_map Fun.id [ unix_l; tcp_l ];
           unix_path = (if unix_l = None then None else cfg.unix_path);
@@ -306,14 +303,14 @@ let start (cfg : config) =
         h.logger_thread <-
           Some (Thread.create (fun () -> logger_loop h cfg.log_interval_s) ());
       cfg.log
-        (Printf.sprintf "serve: listening%s%s (window %.0fms, queue %d)"
+        (Printf.sprintf "serve: listening%s%s (queue %d)"
            (match cfg.unix_path with
            | Some p when unix_l <> None -> " on " ^ p
            | _ -> "")
            (match cfg.tcp with
            | Some (host, port) -> Printf.sprintf " on tcp %s:%d" host port
            | None -> "")
-           cfg.window_ms cfg.max_queue);
+           cfg.max_queue);
       Ok h
 
 let wait h =

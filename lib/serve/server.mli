@@ -3,11 +3,12 @@
 
     One {!Wire} frame in, one frame out, correlated by envelope id;
     concurrent clients each get a connection thread, measurement work
-    runs on the {!Batcher}'s pool domains.  Duplicate in-flight requests
-    coalesce onto one computation, compatible sweeps batch into one
-    fused pass, and overload answers a typed [Busy] (queue full) or
-    [Timeout] (deadline passed) — a client is always answered, never
-    left on a hung socket.
+    runs on the {!Batcher}'s pool domains.  Every request goes straight
+    to the pool; a duplicate in-flight request coalesces onto the one
+    computation, a client that wants both sweep axes of a pair from one
+    execution asks for a [fused:] spec, and overload answers a typed
+    [Busy] (queue full) or [Timeout] (deadline passed) — a client is
+    always answered, never left on a hung socket.
 
     Lifecycle: {!start} binds and accepts in background threads;
     {!stop} (or a client's [Shutdown] request) begins a graceful stop —
@@ -20,7 +21,6 @@ type config = {
   unix_path : string option;  (** Unix-domain socket path. *)
   tcp : (string * int) option;  (** Optional TCP listener (host, port). *)
   jobs : int option;  (** Worker domains; default {!Repro_harness.Pool.default_jobs}. *)
-  window_ms : float;  (** Batching window; 10 ms default. *)
   max_queue : int;  (** Job bound before [Busy]; 64 default. *)
   default_deadline_ms : float;
       (** Deadline for requests that carry none; 60 s default. *)
@@ -31,8 +31,8 @@ type config = {
 
 val default_config : unit -> config
 (** Unix socket at [_runs_cache/d16c.sock] (under the current
-    {!Repro_harness.Diskcache.dir}), no TCP, default pool width, 10 ms
-    window, queue bound 64, 60 s deadline, stderr logging every 10 s. *)
+    {!Repro_harness.Diskcache.dir}), no TCP, default pool width, queue
+    bound 64, 60 s deadline, stderr logging every 10 s. *)
 
 type handle
 

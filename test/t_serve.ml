@@ -1,8 +1,7 @@
 (* Service plane: the JSON codec survives round-trips and adversarial
    input, the protocol codecs are total, and a live server coalesces,
-   batches, times out, sheds, and shuts down the way lib/serve/*.mli
-   promise.  The server cases drive real compiles, so they are tagged
-   slow. *)
+   times out, sheds, and shuts down the way lib/serve/*.mli promise.
+   The server cases drive real compiles, so they are tagged slow. *)
 
 module Json = Repro_util.Json
 module Target = Repro_core.Target
@@ -176,7 +175,7 @@ let status_gen =
   let open QCheck.Gen in
   let f = map Float.of_int (int_bound 1_000_000) in
   map
-    (fun ((a, b, c, d, e), (g, h, i, j, k), (l, m, n, o, p), (q, r)) ->
+    (fun ((a, b, c, d, e), (g, h, i, j), (l, m, n, o, p), (q, r)) ->
       {
         Proto.uptime_s = q;
         accepted = a;
@@ -188,7 +187,6 @@ let status_gen =
         max_batch = h;
         runs = i;
         queue_depth = j;
-        waiting = k;
         timeouts = l;
         shed = m;
         disk_hits = n;
@@ -198,7 +196,7 @@ let status_gen =
       })
     (quad
        (tup5 nat nat nat nat nat)
-       (tup5 nat nat nat nat nat)
+       (tup4 nat nat nat nat)
        (tup5 nat nat nat nat nat)
        (pair f f))
 
@@ -302,7 +300,7 @@ let sock_seq = ref 0
 
 (* A private cache dir and a private socket per case: server tests must
    never see a developer's _runs_cache or a stale daemon. *)
-let with_server ?jobs ?(window_ms = 50.) ?(max_queue = 64) f =
+let with_server ?jobs ?(max_queue = 64) f =
   incr sock_seq;
   let tmp = Filename.get_temp_dir_name () in
   let cache =
@@ -329,7 +327,6 @@ let with_server ?jobs ?(window_ms = 50.) ?(max_queue = 64) f =
           Server.unix_path = Some path;
           tcp = None;
           jobs;
-          window_ms;
           max_queue;
           log = ignore;
           log_interval_s = 0.;
@@ -385,7 +382,8 @@ let status_exn c =
   | _ -> Alcotest.fail "expected Status_r"
 
 (* N identical concurrent requests: one underlying run, N - 1 coalesced
-   joins, every response the same digest stamped batch = N. *)
+   joins, every response the same digest stamped batch = N, and that run
+   counted as one batch of N. *)
 let test_coalescing () =
   with_server (fun addr h ->
       ignore h;
@@ -409,14 +407,17 @@ let test_coalescing () =
       Client.close c;
       Alcotest.(check int) "runs" 1 s.Proto.runs;
       Alcotest.(check int) "coalesced" (n - 1) s.Proto.coalesced;
+      Alcotest.(check int) "batches" 1 s.Proto.batches;
+      Alcotest.(check int) "batched" n s.Proto.batched;
       Alcotest.(check int) "timeouts" 0 s.Proto.timeouts;
       Alcotest.(check int) "shed" 0 s.Proto.shed)
 
-(* Two different-kind sweeps for one (bench, target) inside the window:
-   one fused execution answers both, and each digest equals what a
-   directly-run plan produces in a fresh cache — batching is invisible
-   in the results. *)
-let test_batching_byte_equal () =
+(* A grid and a uarch sweep for one (bench, target) in flight together:
+   two jobs (different keys never coalesce), each answered alone, and
+   each digest equals what a directly-run plan produces in a fresh
+   cache — the two serialise on the pair's Memo flight, not on the
+   server. *)
+let test_pair_in_flight () =
   let grid, uarch =
     match
       (Plan.spec_of_string "grid:queens:d16", Plan.spec_of_string "uarch:queens:d16")
@@ -449,15 +450,15 @@ let test_batching_byte_equal () =
         let dg, bg = digest_of g and du, bu = digest_of u in
         Alcotest.(check string) "grid digest = direct" (fst direct) dg;
         Alcotest.(check string) "uarch digest = direct" (snd direct) du;
-        Alcotest.(check int) "grid batch" 2 bg;
-        Alcotest.(check int) "uarch batch" 2 bu;
+        Alcotest.(check int) "grid batch" 1 bg;
+        Alcotest.(check int) "uarch batch" 1 bu;
         let c = connect_exn addr in
         let s = status_exn c in
         Client.close c;
-        Alcotest.(check int) "one batched run" 1 s.Proto.runs;
-        Alcotest.(check int) "batches" 1 s.Proto.batches;
-        Alcotest.(check int) "batched requests" 2 s.Proto.batched;
-        Alcotest.(check int) "max batch" 2 s.Proto.max_batch
+        Alcotest.(check int) "one run each" 2 s.Proto.runs;
+        Alcotest.(check int) "batches" 0 s.Proto.batches;
+        Alcotest.(check int) "batched requests" 0 s.Proto.batched;
+        Alcotest.(check int) "max batch" 0 s.Proto.max_batch
       | _ -> Alcotest.fail "volley arity")
 
 (* A deadline shorter than the job: a typed Timeout, the connection
@@ -606,8 +607,8 @@ let tests =
       test_malformed_never_hangs;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
     Alcotest.test_case "coalescing: N requests, 1 run" `Slow test_coalescing;
-    Alcotest.test_case "batched = direct, byte-equal" `Slow
-      test_batching_byte_equal;
+    Alcotest.test_case "grid and uarch in flight = direct" `Slow
+      test_pair_in_flight;
     QCheck_alcotest.to_alcotest json_roundtrip;
     QCheck_alcotest.to_alcotest request_roundtrip;
     QCheck_alcotest.to_alcotest response_roundtrip;
